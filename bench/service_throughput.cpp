@@ -14,14 +14,7 @@
 //      (block/reject/shed) — every submit must resolve (report or
 //      admission rejection), and accepted + refused must account for the
 //      whole burst.
-//   5. Similar-heavy plan reuse (ISSUE 5): 12 unique contents over 4 plan
-//      shapes (each (dataset, model) pair at three pruning levels — every
-//      request is a compilation-cache miss, but 8 share an already-planned
-//      shape). With the PlanStore enabled those 8 route through
-//      compile_with_plan and skip partition planning; gate: 4 planned + 8
-//      seeded, total planner wall-clock strictly below the plan-from-
-//      scratch run's, every report bit-identical.
-//   6. Deadline-heavy burst (ISSUE 6): a slow head request pins the lone
+//   5. Deadline-heavy burst (ISSUE 6): a slow head request pins the lone
 //      worker while 8 one-millisecond-deadline victims queue behind it
 //      (queue.delay armed so expiry at dequeue is structural, not a timing
 //      race). Gate: every victim resolves as DeadlineExceededError counted
@@ -30,24 +23,14 @@
 //      gate: fault_point() on a disarmed injector, measured over 20M
 //      calls, must cost <1% of mean per-request service latency even at
 //      10k calls per request.
-//   7. Continuous-batching fusion (ISSUE 9): 32 fusion-compatible
-//      requests — 8 distinct weight draws over each of 4 plan shapes, so
-//      members share a BatchKey but nothing short of cross-request fusion
-//      can batch them. Batching off vs on (50 ms window, K = 8). Gate:
-//      every report in both modes bit-identical to the solo
-//      compile+execute reference, and the fused side's mean batch
-//      occupancy must exceed 1 (fusion actually happened). This scenario
-//      writes its own BENCH_pr9.json.
 //
 // The mixed stream is the synthetic serving mix of request_stream.hpp
 // (GCN over CI/CO/PU/FL plus GraphSAGE over CI/CO, cycled). Every service
 // report is checked bit-identical to its reference via
 // InferenceReport::deterministic_fingerprint(). Results land in
-// BENCH_pr2.json (scenario 7 in BENCH_pr9.json); the exit code asserts
-// every scenario's acceptance.
+// BENCH_pr2.json; the exit code asserts every scenario's acceptance.
 //
 //   service_throughput [--seed S] [--reps R] [--requests N] [--out PATH]
-//                      [--out-batch PATH]
 
 #include <cstring>
 #include <mutex>
@@ -59,7 +42,6 @@
 #include "util/fault_injection.hpp"
 #include "util/ordered_mutex.hpp"
 #include "util/parallel.hpp"
-#include "util/random.hpp"
 #include "util/strict_parse.hpp"
 
 using namespace dynasparse;
@@ -110,7 +92,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 2023;
   int reps = 3, requests = 16;
   const char* out_path = "BENCH_pr2.json";
-  const char* out_batch_path = "BENCH_pr9.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = strict_stoull(argv[++i]);
@@ -120,8 +101,6 @@ int main(int argc, char** argv) {
       requests = strict_stoi(argv[++i]);
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
       out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--out-batch") == 0 && i + 1 < argc)
-      out_batch_path = argv[++i];
   }
 
   std::vector<StreamRequestSpec> specs = synthetic_stream(requests, seed);
@@ -328,104 +307,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Similar-heavy plan-reuse scenario (ISSUE 5). `planning_ms` below
-  // is the wall-clock spent inside plan_partitions: per-report
-  // CompileStats on the cold side, the PlanStore's own planning counter on
-  // the seeded side (seeded compiles report 0 — the planner never ran for
-  // them). Comparing planner time, not whole-compile wall, keeps the gate
-  // deterministic: data reorganization and sparsity profiling run per
-  // request either way and would drown the delta in noise.
-  double plan_off_planning_ms = -1.0, plan_on_planning_ms = -1.0;
-  double plan_off_wall_ms = -1.0, plan_on_wall_ms = -1.0;
-  bool plan_identical = true;
-  std::int64_t plan_planned = 0, plan_seeded = 0, plan_rejected = 0;
-  std::size_t plan_requests = 0, plan_shapes = 0;
-  {
-    struct Shape {
-      const char* dataset;
-      GnnModelKind model;
-    };
-    static const Shape kShapes[] = {{"CI", GnnModelKind::kGcn},
-                                    {"CO", GnnModelKind::kGcn},
-                                    {"PU", GnnModelKind::kGcn},
-                                    {"CO", GnnModelKind::kSage}};
-    static const double kPrunes[] = {0.0, 0.25, 0.5};
-    plan_shapes = sizeof(kShapes) / sizeof(kShapes[0]);
-    std::vector<ServiceRequest> similar;
-    for (const Shape& s : kShapes)
-      for (double prune : kPrunes) {
-        StreamRequestSpec spec;
-        spec.dataset = s.dataset;
-        spec.model = s.model;
-        spec.prune = prune;
-        spec.seed = seed + 3;
-        similar.push_back(materialize_request(spec));
-      }
-    plan_requests = similar.size();
-
-    struct PlanRun {
-      double wall_ms = 0.0;
-      double planning_ms = 0.0;
-      std::vector<InferenceReport> reports;
-      PlanStoreStats pss;
-    };
-    auto run_similar = [&](std::size_t store_capacity) {
-      ServiceOptions opts;
-      opts.workers = 4;
-      opts.cache_capacity = similar.size();
-      opts.plan_store_capacity = store_capacity;
-      InferenceService service(opts);
-      PlanRun r;
-      Stopwatch sw;
-      std::vector<RequestId> ids;
-      for (const ServiceRequest& req : similar) ids.push_back(service.submit(req));
-      for (RequestId id : ids) r.reports.push_back(service.wait(id));
-      r.wall_ms = sw.elapsed_ms();
-      r.pss = service.plan_store_stats();
-      for (const InferenceReport& rep : r.reports)
-        r.planning_ms += rep.compile.planning_ms;
-      r.planning_ms += r.pss.planning_ms;  // 0 when the store is off
-      return r;
-    };
-
-    for (int rep = 0; rep < reps; ++rep) {
-      PlanRun off = run_similar(0);
-      PlanRun on = run_similar(similar.size());
-      for (std::size_t i = 0; i < similar.size(); ++i)
-        if (off.reports[i].deterministic_fingerprint() !=
-            on.reports[i].deterministic_fingerprint())
-          plan_identical = false;
-      if (plan_off_planning_ms < 0.0 || off.planning_ms < plan_off_planning_ms)
-        plan_off_planning_ms = off.planning_ms;
-      if (plan_on_planning_ms < 0.0 || on.planning_ms < plan_on_planning_ms)
-        plan_on_planning_ms = on.planning_ms;
-      if (plan_off_wall_ms < 0.0 || off.wall_ms < plan_off_wall_ms)
-        plan_off_wall_ms = off.wall_ms;
-      if (plan_on_wall_ms < 0.0 || on.wall_ms < plan_on_wall_ms)
-        plan_on_wall_ms = on.wall_ms;
-      if (rep == 0) {
-        plan_planned = on.pss.planned;
-        plan_seeded = on.pss.seeded;
-        plan_rejected = on.pss.rejected;
-      }
-    }
-    std::printf(
-        "similar-heavy plan reuse (%zu requests, %zu shapes): planner "
-        "wall-clock %.3f ms cold vs %.3f ms seeded (%.2fx), %lld planned / "
-        "%lld seeded, bit-identical: %s\n",
-        plan_requests, plan_shapes, plan_off_planning_ms, plan_on_planning_ms,
-        plan_off_planning_ms / plan_on_planning_ms,
-        static_cast<long long>(plan_planned), static_cast<long long>(plan_seeded),
-        plan_identical ? "yes" : "NO");
-  }
-  bool plan_ok = plan_identical &&
-                 plan_planned == static_cast<std::int64_t>(plan_shapes) &&
-                 plan_seeded ==
-                     static_cast<std::int64_t>(plan_requests - plan_shapes) &&
-                 plan_rejected == 0 &&
-                 plan_on_planning_ms < plan_off_planning_ms;
-  if (!plan_identical) all_identical = false;
-
   // ---- Deadline-heavy burst (ISSUE 6): one worker, a slow PU head with a
   // generous deadline, and 8 cheap victims whose 1 ms deadlines are long
   // gone by the time the worker frees up. queue.delay:1 stalls every
@@ -559,116 +440,6 @@ int main(int argc, char** argv) {
         ordered_mutex_ok ? "ok" : "FAIL");
   }
 
-  // ---- Continuous-batching fusion (ISSUE 9): 8 distinct weight draws
-  // over each of 4 plan shapes. Members of a shape regenerate the same
-  // dataset content (equal dataset_signature; the tile pool dedups their
-  // adjacency operands to pointer-equal tiles) and share layer geometry
-  // (equal plan_signature) but carry different weights — different
-  // CompileKeys, so neither the compilation cache nor result memoization
-  // can collapse them. Only cross-request fused execution batches them.
-  // Both modes warm the compilation cache first and run on one worker:
-  // with several workers the unbatched side overlaps whole requests and
-  // the delta measures scheduling, not fusion — one worker isolates what
-  // fused execution itself buys (the shared operand stream per kernel).
-  // Gates: every report in both modes bit-identical to the solo
-  // compile+execute reference, and the batched side's mean occupancy > 1
-  // with at least one fused request.
-  double batch_off_best = -1.0, batch_on_best = -1.0;
-  bool batch_identical = true;
-  BatchStats batch_on_stats;
-  std::size_t batch_requests_n = 0, batch_shapes_n = 0;
-  constexpr std::size_t kPerShape = 8;
-  constexpr std::int64_t kBatchWindowUs = 50000;
-  {
-    struct Shape {
-      const char* dataset;
-      GnnModelKind model;
-    };
-    static const Shape kBatchShapes[] = {{"CI", GnnModelKind::kGcn},
-                                         {"CO", GnnModelKind::kGcn},
-                                         {"PU", GnnModelKind::kGcn},
-                                         {"CO", GnnModelKind::kSage}};
-    batch_shapes_n = sizeof(kBatchShapes) / sizeof(kBatchShapes[0]);
-    std::vector<ServiceRequest> roster;
-    for (std::size_t s = 0; s < batch_shapes_n; ++s)
-      for (std::size_t i = 0; i < kPerShape; ++i) {
-        Dataset ds =
-            generate_dataset(dataset_by_tag(kBatchShapes[s].dataset), 0, seed + 6);
-        Rng rng(seed + 900 + 1000 * s + 31 * i);
-        GnnModel model =
-            build_model(kBatchShapes[s].model, ds.spec.feature_dim,
-                        ds.spec.hidden_dim, ds.spec.num_classes, rng);
-        model.name += "#" + std::to_string(i);
-        roster.push_back(ServiceRequest::own(std::move(model), std::move(ds)));
-      }
-    batch_requests_n = roster.size();
-
-    // Solo references: the pre-service compile + execute path, one request
-    // at a time. Fused execution must reproduce these bit-for-bit.
-    std::vector<std::uint64_t> reference;
-    for (const ServiceRequest& req : roster) {
-      CompiledProgram prog =
-          compile(*req.model, *req.dataset, req.options.config);
-      InferenceReport rep = run_compiled(prog, req.options.runtime);
-      rep.dataset_tag = req.dataset->spec.tag;
-      reference.push_back(rep.deterministic_fingerprint());
-    }
-
-    struct BatchRun {
-      double wall_ms = 0.0;
-      BatchStats bs;
-      bool identical = true;
-    };
-    auto run_mode = [&](std::int64_t window_us, std::size_t max_batch) {
-      ServiceOptions opts;
-      opts.workers = 1;
-      opts.cache_capacity = roster.size();
-      opts.batch_window_us = window_us;
-      opts.max_batch_size = max_batch;
-      InferenceService service(opts);
-      for (const ServiceRequest& req : roster)
-        service.cache().get_or_compile(*req.model, *req.dataset,
-                                       req.options.config);
-      BatchRun r;
-      Stopwatch sw;
-      std::vector<RequestId> ids;
-      ids.reserve(roster.size());
-      for (const ServiceRequest& req : roster) ids.push_back(service.submit(req));
-      for (std::size_t i = 0; i < ids.size(); ++i)
-        if (service.wait(ids[i]).deterministic_fingerprint() != reference[i])
-          r.identical = false;
-      r.wall_ms = sw.elapsed_ms();
-      r.bs = service.batch_stats();
-      return r;
-    };
-
-    for (int rep = 0; rep < reps; ++rep) {
-      BatchRun off = run_mode(0, 0);
-      BatchRun on = run_mode(kBatchWindowUs, kPerShape);
-      if (!off.identical || !on.identical) batch_identical = false;
-      if (batch_off_best < 0.0 || off.wall_ms < batch_off_best)
-        batch_off_best = off.wall_ms;
-      if (batch_on_best < 0.0 || on.wall_ms < batch_on_best)
-        batch_on_best = on.wall_ms;
-      if (rep == 0) batch_on_stats = on.bs;
-    }
-    std::printf(
-        "continuous batching (%zu requests, %zu shapes): off %.1f ms, on "
-        "%.1f ms (%.2fx), %lld batches / %.2f mean occupancy, %lld fused "
-        "requests, %lld fused kernels, bit-identical: %s\n",
-        batch_requests_n, batch_shapes_n, batch_off_best, batch_on_best,
-        batch_off_best / batch_on_best,
-        static_cast<long long>(batch_on_stats.batches_formed),
-        batch_on_stats.mean_occupancy(),
-        static_cast<long long>(batch_on_stats.fused_requests),
-        static_cast<long long>(batch_on_stats.fused_kernels),
-        batch_identical ? "yes" : "NO");
-  }
-  bool batch_ok = batch_identical && batch_on_stats.fused_requests > 0 &&
-                  batch_on_stats.batches_formed > 0 &&
-                  batch_on_stats.mean_occupancy() > 1.0;
-  if (!batch_identical) all_identical = false;
-
   double speedup = seq_best / svc_best;
   double seq_thru = static_cast<double>(pool.size()) / (seq_best / 1e3);
   double svc_thru = static_cast<double>(pool.size()) / (svc_best / 1e3);
@@ -716,19 +487,6 @@ int main(int argc, char** argv) {
   w.key("result_cache_hits").value(memo_hits);
   w.key("result_cache_misses").value(memo_misses);
   w.key("bit_identical").value(memo_identical);
-  w.end_object();
-  w.key("plan_reuse").begin_object();
-  w.key("requests").value(static_cast<std::int64_t>(plan_requests));
-  w.key("plan_shapes").value(static_cast<std::int64_t>(plan_shapes));
-  w.key("planned").value(plan_planned);
-  w.key("seeded").value(plan_seeded);
-  w.key("rejected").value(plan_rejected);
-  w.key("cold_planning_ms").value(plan_off_planning_ms);
-  w.key("seeded_planning_ms").value(plan_on_planning_ms);
-  w.key("planning_speedup").value(plan_off_planning_ms / plan_on_planning_ms);
-  w.key("cold_wall_ms").value(plan_off_wall_ms);
-  w.key("seeded_wall_ms").value(plan_on_wall_ms);
-  w.key("bit_identical").value(plan_identical);
   w.end_object();
   w.key("admission_saturation").begin_array();
   for (const AdmissionRun& run : admission_runs) {
@@ -788,47 +546,6 @@ int main(int argc, char** argv) {
   f << w.str() << "\n";
   std::printf("wrote %s\n", out_path);
 
-  // Scenario 7 gets its own artifact: the PR-9 continuous-batching gate.
-  JsonWriter w9;
-  w9.begin_object();
-  w9.key("bench").value(std::string("service_throughput_batching"));
-  w9.key("pr").value(9);
-  w9.key("config").begin_object();
-  w9.key("requests").value(static_cast<std::int64_t>(batch_requests_n));
-  w9.key("plan_shapes").value(static_cast<std::int64_t>(batch_shapes_n));
-  w9.key("per_shape").value(static_cast<std::int64_t>(kPerShape));
-  w9.key("batch_window_us").value(kBatchWindowUs);
-  w9.key("max_batch_size").value(static_cast<std::int64_t>(kPerShape));
-  w9.key("workers").value(1);
-  w9.key("reps").value(reps);
-  w9.key("seed").value(static_cast<std::int64_t>(seed));
-  w9.key("hardware_concurrency").value(parallel_hardware_threads());
-  w9.end_object();
-  w9.key("notes").begin_array();
-  w9.value(std::string(
-      "8 weight draws per plan shape: equal BatchKey, distinct CompileKeys — "
-      "only cross-request fusion can batch them"));
-  w9.value(std::string(
-      "both modes warm the compilation cache; wall-clock isolates execution"));
-  w9.value(std::string(
-      "every report checked bit-identical to the solo compile+execute "
-      "reference on every rep"));
-  w9.end_array();
-  w9.key("batching_off_ms").value(batch_off_best);
-  w9.key("batching_on_ms").value(batch_on_best);
-  w9.key("speedup").value(batch_off_best / batch_on_best);
-  w9.key("batches_formed").value(batch_on_stats.batches_formed);
-  w9.key("batched_requests").value(batch_on_stats.batched_requests);
-  w9.key("fused_batches").value(batch_on_stats.fused_batches);
-  w9.key("fused_requests").value(batch_on_stats.fused_requests);
-  w9.key("fused_kernels").value(batch_on_stats.fused_kernels);
-  w9.key("mean_occupancy").value(batch_on_stats.mean_occupancy());
-  w9.key("bit_identical").value(batch_identical);
-  w9.key("ok").value(batch_ok);
-  w9.end_object();
-  std::ofstream f9(out_batch_path);
-  f9 << w9.str() << "\n";
-  std::printf("wrote %s\n", out_batch_path);
   if (!memo_ok)
     std::printf("FAIL: memoization scenario (speedup %.2fx, hits %lld, "
                 "identical %s)\n",
@@ -842,23 +559,8 @@ int main(int argc, char** argv) {
   if (!ordered_mutex_ok)
     std::printf("FAIL: unarmed OrderedMutex overhead (%.3f%% >= 1%%)\n",
                 ordered_pct_per_request);
-  if (!plan_ok)
-    std::printf(
-        "FAIL: plan-reuse scenario (planned %lld, seeded %lld, rejected %lld, "
-        "planning %.3f -> %.3f ms, identical %s)\n",
-        static_cast<long long>(plan_planned), static_cast<long long>(plan_seeded),
-        static_cast<long long>(plan_rejected), plan_off_planning_ms,
-        plan_on_planning_ms, plan_identical ? "yes" : "no");
-  if (!batch_ok)
-    std::printf(
-        "FAIL: continuous-batching scenario (occupancy %.2f, fused %lld, "
-        "identical %s)\n",
-        batch_on_stats.mean_occupancy(),
-        static_cast<long long>(batch_on_stats.fused_requests),
-        batch_identical ? "yes" : "no");
   return all_identical && speedup >= 2.0 && memo_ok && admission_ok &&
-                 plan_ok && deadline_ok && overhead_ok && ordered_mutex_ok &&
-                 batch_ok
+                 deadline_ok && overhead_ok && ordered_mutex_ok
              ? 0
              : 1;
 }

@@ -69,9 +69,7 @@ CompiledProgram compile_impl(const GnnModel& model, const Dataset& ds,
     prog.plan = reuse_plan;
   } else {
     std::vector<KernelWorkload> workloads = planner_workloads(prog.kernels);
-    Stopwatch plan_sw;
     prog.plan = plan_partitions(workloads, cfg, token);
-    prog.stats.planning_ms = plan_sw.elapsed_ms();
   }
   for (KernelIR& k : prog.kernels) attach_scheme(k, prog.plan.n1, prog.plan.n2);
 

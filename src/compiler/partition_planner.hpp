@@ -36,10 +36,7 @@ struct KernelWorkload {
 };
 
 /// The planner's projection of a computation graph: one workload
-/// descriptor per kernel IR. Every planning site (compile() and the
-/// service's PlanStore) routes through this, so a stored plan is derived
-/// from exactly the inputs a cold compile would plan from — keep any new
-/// planner input here AND in plan_signature (compiler/signature.hpp).
+/// descriptor per kernel IR.
 std::vector<KernelWorkload> planner_workloads(const std::vector<KernelIR>& kernels);
 
 /// Algorithm 9. Partition sizes are multiples of psys (systolic alignment)

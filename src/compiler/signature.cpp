@@ -1,6 +1,5 @@
 #include "compiler/signature.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace dynasparse {
@@ -22,8 +21,6 @@ static_assert(sizeof(Dataset) == 280, "Dataset changed: update dataset_signature
 static_assert(sizeof(CsrMatrix) == 88, "CsrMatrix changed: update dataset_signature");
 static_assert(sizeof(CooEntry) == 24, "CooEntry changed: update dataset_signature");
 static_assert(sizeof(SimConfig) == 80, "SimConfig changed: update config_signature");
-static_assert(sizeof(KernelIR) == 120, "KernelIR changed: update ir_signature");
-static_assert(sizeof(PartitionPlan) == 24, "PartitionPlan changed: update ir_signature");
 static_assert(sizeof(RuntimeOptions) == 16,
               "RuntimeOptions changed: update runtime_options_signature");
 static_assert(sizeof(CompileKey) == 24, "CompileKey changed: update make_result_key");
@@ -91,57 +88,6 @@ std::uint64_t dataset_signature(const Dataset& ds) {
   return h.digest();
 }
 
-std::uint64_t dataset_fingerprint(const Dataset& ds) {
-  // 64 strided probes per array + first/last element: enough that any
-  // plausible dataset perturbation (an edge rewire, a feature redraw)
-  // lands in the sample with high probability, cheap enough to run per
-  // request on the scheduler's hot path.
-  constexpr std::size_t kProbes = 64;
-  HashStream h;
-  h.str(ds.spec.name)
-      .str(ds.spec.tag)
-      .i64(ds.spec.vertices)
-      .i64(ds.spec.edges)
-      .i64(ds.spec.feature_dim)
-      .i64(ds.spec.num_classes)
-      .f64(ds.spec.h0_density)
-      .i64(ds.spec.hidden_dim)
-      .f64(ds.spec.degree_skew)
-      .i64(ds.spec.bench_scale);
-  const CsrMatrix& a = ds.graph.adjacency();
-  h.i64(ds.graph.num_vertices()).i64(ds.graph.num_edges());
-  h.i64(a.rows()).i64(a.cols());
-  auto probe_i64 = [&h](const std::vector<std::int64_t>& v) {
-    h.u64(v.size());
-    if (v.empty()) return;
-    const std::size_t stride = std::max<std::size_t>(1, v.size() / kProbes);
-    for (std::size_t i = 0; i < v.size(); i += stride) h.i64(v[i]);
-    h.i64(v.back());
-  };
-  auto probe_f32 = [&h](const std::vector<float>& v) {
-    h.u64(v.size());
-    if (v.empty()) return;
-    const std::size_t stride = std::max<std::size_t>(1, v.size() / kProbes);
-    for (std::size_t i = 0; i < v.size(); i += stride) h.f32(v[i]);
-    h.f32(v.back());
-  };
-  probe_i64(a.row_ptr());
-  probe_i64(a.col_idx());
-  probe_f32(a.values());
-  h.i64(ds.features.rows())
-      .i64(ds.features.cols())
-      .i64(static_cast<std::int64_t>(ds.features.layout()));
-  const std::vector<CooEntry>& fe = ds.features.entries();
-  h.u64(fe.size());
-  if (!fe.empty()) {
-    const std::size_t stride = std::max<std::size_t>(1, fe.size() / kProbes);
-    for (std::size_t i = 0; i < fe.size(); i += stride)
-      h.i64(fe[i].row).i64(fe[i].col).f32(fe[i].value);
-    h.i64(fe.back().row).i64(fe.back().col).f32(fe.back().value);
-  }
-  return h.digest();
-}
-
 std::uint64_t config_signature(const SimConfig& cfg) {
   HashStream h;
   h.i64(cfg.psys)
@@ -159,39 +105,6 @@ std::uint64_t config_signature(const SimConfig& cfg) {
       .i64(cfg.dispatch_cycles_per_task)
       .i64(cfg.mode_switch_cycles)
       .f64(cfg.sparse_storage_threshold);
-  return h.digest();
-}
-
-std::uint64_t ir_signature(const std::vector<KernelIR>& kernels,
-                           const PartitionPlan& plan) {
-  HashStream h;
-  h.i64(plan.n1).i64(plan.n2).i64(plan.n_max);
-  h.u64(kernels.size());
-  for (const KernelIR& k : kernels) {
-    h.i64(k.node_id).i64(k.num_vertices).i64(k.num_edges);
-    hash_spec(h, k.spec);
-    h.i64(k.scheme.n1)
-        .i64(k.scheme.n2)
-        .i64(k.scheme.grid_i)
-        .i64(k.scheme.grid_k)
-        .i64(k.scheme.inner_steps);
-  }
-  return h.digest();
-}
-
-std::uint64_t plan_signature(const GnnModel& model, std::int64_t num_vertices,
-                             const SimConfig& cfg) {
-  HashStream h;
-  h.i64(num_vertices);
-  h.u64(model.kernels.size());
-  for (const KernelSpec& s : model.kernels)
-    h.i64(static_cast<std::int64_t>(s.kind)).i64(s.out_dim);
-  h.i64(cfg.psys)
-      .i64(cfg.num_cores)
-      .i64(cfg.load_balance_eta)
-      .i64(cfg.min_partition)
-      .u64(cfg.onchip_tile_bytes)
-      .i64(cfg.dense_elem_bytes);
   return h.digest();
 }
 

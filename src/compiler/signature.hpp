@@ -9,18 +9,12 @@
 // the full content — every float as its bit pattern, every index array,
 // every config field — with a 64-bit FNV-1a-style word hash. Wall-clock
 // fields (CompileStats) are never part of a signature.
-//
-// ir_signature covers the reusable compiler artifact (partition plan +
-// kernel IRs with scheme metadata), matching what io/ir_io.hpp persists;
-// it lets a cache validate a stored IR snapshot against a live program.
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "compiler/ir.hpp"
-#include "compiler/partition_planner.hpp"
 #include "graph/dataset.hpp"
 #include "model/model.hpp"
 #include "runtime/runtime_system.hpp"
@@ -80,46 +74,10 @@ std::uint64_t model_signature(const GnnModel& model);
 /// into reports), the adjacency CSR arrays, and the feature nonzeros.
 std::uint64_t dataset_signature(const Dataset& ds);
 
-/// Bounded-work dataset identity: the spec and array shapes in full plus
-/// a fixed-count stride sample of the adjacency arrays and feature
-/// nonzeros, instead of dataset_signature's full content walk (which
-/// costs milliseconds on the larger graphs). Content-equal datasets
-/// always fingerprint equal. Built for keys where a collision between
-/// *different* datasets is harmless — the batch scheduler groups on
-/// this, and a falsely grouped member simply misses the shared-operand
-/// sweep (the runtime fuses only pointer-equal pooled operands) while
-/// still executing correctly. NOT a substitute for dataset_signature in
-/// the compilation/result caches, where a collision would alias
-/// different programs.
-std::uint64_t dataset_fingerprint(const Dataset& ds);
-
 /// Hash of every SimConfig field. Keep in sync with the struct — a new
 /// field MUST be added here, or programs compiled under different configs
 /// would collide in the cache.
 std::uint64_t config_signature(const SimConfig& cfg);
-
-/// Hash of the reusable compiler artifact: plan + kernel IRs + schemes.
-std::uint64_t ir_signature(const std::vector<KernelIR>& kernels,
-                           const PartitionPlan& plan);
-
-/// Plan-compatibility signature: hashes exactly the partition planner's
-/// inputs — the per-kernel workload sequence (kind, out_dim; every kernel
-/// spans the whole graph, so one vertex count covers all of them) plus
-/// the SimConfig fields plan_partitions reads (psys, num_cores,
-/// load_balance_eta, min_partition, and the onchip_tile_bytes /
-/// dense_elem_bytes behind max_partition_size). A strict subset of the
-/// CompileKey content: weight values, feature nonzeros, graph topology
-/// beyond |V|, and the non-planning config fields do not flow in, so
-/// *similar* requests — same model/plan shape but a different dataset
-/// instance, pruning level, or weight draw — collide here even though
-/// their CompileKeys differ. Equal signatures guarantee plan_partitions
-/// would return the identical PartitionPlan, which is what licenses the
-/// PlanStore (service/plan_store.hpp) to seed compile_with_plan and still
-/// produce a bit-identical program. Keep in sync with plan_partitions the
-/// same way config_signature tracks SimConfig: a new planner input MUST
-/// be added here or incompatible requests would share plans.
-std::uint64_t plan_signature(const GnnModel& model, std::int64_t num_vertices,
-                             const SimConfig& cfg);
 
 /// Compilation-cache key: independent content hashes of the three compile
 /// inputs. Equality of all three components is what "same compilation"

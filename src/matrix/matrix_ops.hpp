@@ -21,8 +21,6 @@
 // in matrix_ops_ref.hpp; the kernel-equivalence tests assert bit-identical
 // output between the two families.
 
-#include <vector>
-
 #include "matrix/coo_matrix.hpp"
 #include "matrix/csr_matrix.hpp"
 #include "matrix/dense_matrix.hpp"
@@ -63,33 +61,5 @@ void spmm_accumulate(const CooMatrix& x, const CooMatrix& y, DenseMatrix& z);
 /// Tile::csr_view()), skipping the per-call coo_to_csr.
 void spmm_accumulate(const CooMatrix& x, const CsrMatrix& y, DenseMatrix& z);
 void spmm_accumulate(const CsrMatrix& x, const CsrMatrix& y, DenseMatrix& z);
-
-// ---- Batched column-block sweeps (continuous cross-request batching) ----
-//
-// z_i += x * y_i for B right-hand sides sharing ONE left operand: the
-// shared X (a pooled adjacency tile) streams through the sweep loop once,
-// feeding every member's accumulator, instead of once per request. Each
-// member's per-element FP operation sequence is IDENTICAL to the solo
-// kernel above it (same entry/row order, same k-ascending accumulation,
-// same zero-skip tests) — only the X traversal is amortized — so batched
-// results are bit-identical to solo execution, signed zeros included.
-// `ys` and `zs` are index-aligned; all shapes must match the solo
-// contract per member.
-
-/// Batched gemm_accumulate: dense X swept i-outer/k-inner once, per-member
-/// axpy on each nonzero of the shared row.
-void gemm_accumulate_batched(const DenseMatrix& x,
-                             const std::vector<const DenseMatrix*>& ys,
-                             const std::vector<DenseMatrix*>& zs);
-/// Batched spdmm_accumulate: one pass over X's COO entries, per-member
-/// axpy per entry.
-void spdmm_accumulate_batched(const CooMatrix& x,
-                              const std::vector<const DenseMatrix*>& ys,
-                              const std::vector<DenseMatrix*>& zs);
-/// Batched spmm_accumulate: one pass over X's COO entries, per-member CSR
-/// row scan per entry.
-void spmm_accumulate_batched(const CooMatrix& x,
-                             const std::vector<const CsrMatrix*>& ys,
-                             const std::vector<DenseMatrix*>& zs);
 
 }  // namespace dynasparse

@@ -217,56 +217,6 @@ void accumulate_product(const Tile& x, const Tile& y, DenseMatrix& z, AccumOp op
     coo_coo(x.coo, y.coo, z, op);
 }
 
-void accumulate_product_batched(const Tile& x, const std::vector<const Tile*>& ys,
-                                const std::vector<DenseMatrix*>& zs, AccumOp op) {
-  if (ys.size() != zs.size())
-    throw std::invalid_argument("batched accumulate: ys/zs size mismatch");
-  for (std::size_t b = 0; b < ys.size(); ++b) {
-    if (x.cols != ys[b]->rows) throw std::invalid_argument("tile inner dim mismatch");
-    if (zs[b]->rows() != x.rows || zs[b]->cols() != ys[b]->cols)
-      throw std::invalid_argument("tile output shape mismatch");
-  }
-  // Shared-x early return mirrors every member's solo early return.
-  if (x.empty()) return;
-  // Members the shared sweeps can't serve bit-identically go through the
-  // solo dispatch one by one: non-sum reductions, column-major
-  // accumulators (both route to the generic/reference kernels in solo
-  // accumulate_product), empty y tiles (solo: no-op), and — when x is
-  // dense — sparse-y members, whose spdmm_rhs sweep is driven by the
-  // member's OWN entries, so there is nothing shared to amortize.
-  const bool xd = x.format == TileFormat::kDense;
-  std::vector<std::size_t> dense_y, sparse_y;
-  for (std::size_t b = 0; b < ys.size(); ++b) {
-    if (ys[b]->empty()) continue;
-    if (op != AccumOp::kSum || zs[b]->layout() != Layout::kRowMajor) {
-      accumulate_product(x, *ys[b], *zs[b], op);
-      continue;
-    }
-    (ys[b]->format == TileFormat::kDense ? dense_y : sparse_y).push_back(b);
-  }
-  std::vector<const DenseMatrix*> yd;
-  std::vector<DenseMatrix*> zd;
-  for (std::size_t b : dense_y) {
-    yd.push_back(&ys[b]->dense);
-    zd.push_back(zs[b]);
-  }
-  if (xd) {
-    if (!yd.empty()) gemm_accumulate_batched(x.dense, yd, zd);
-    for (std::size_t b : sparse_y) spdmm_rhs_accumulate(x.dense, ys[b]->coo, *zs[b]);
-    return;
-  }
-  if (!yd.empty()) spdmm_accumulate_batched(x.coo, yd, zd);
-  if (!sparse_y.empty()) {
-    std::vector<const CsrMatrix*> yc;
-    std::vector<DenseMatrix*> zc;
-    for (std::size_t b : sparse_y) {
-      yc.push_back(&ys[b]->csr_view());
-      zc.push_back(zs[b]);
-    }
-    spmm_accumulate_batched(x.coo, yc, zc);
-  }
-}
-
 PartitionedMatrix::PartitionedMatrix(std::int64_t rows, std::int64_t cols,
                                      std::int64_t tile_rows, std::int64_t tile_cols)
     : rows_(rows), cols_(cols), tile_rows_(tile_rows), tile_cols_(tile_cols) {

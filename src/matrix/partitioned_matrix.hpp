@@ -100,20 +100,6 @@ struct Tile {
 void accumulate_product(const Tile& x, const Tile& y, DenseMatrix& z,
                         AccumOp op = AccumOp::kSum);
 
-/// Batched variant for fused cross-request execution: z_i op= x * y_i for
-/// B members sharing ONE left tile (a pooled adjacency block). The shared
-/// x streams once; members are grouped by their y tile's storage format
-/// and dispatched to the batched column-block sweeps (matrix_ops
-/// *_accumulate_batched), preserving each member's solo primitive choice
-/// and per-element FP sequence exactly — batched output bits equal solo
-/// output bits, member by member (the sign-of-a-zero caveat in
-/// accumulate_product is why dispatch must mirror, not just the math).
-/// `ys` and `zs` are index-aligned and must satisfy the solo shape
-/// contract per member.
-void accumulate_product_batched(const Tile& x, const std::vector<const Tile*>& ys,
-                                const std::vector<DenseMatrix*>& zs,
-                                AccumOp op = AccumOp::kSum);
-
 /// Logical rows x cols matrix cut into a grid of tile_rows x tile_cols
 /// partitions (edge tiles truncated).
 class PartitionedMatrix {

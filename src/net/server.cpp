@@ -295,7 +295,6 @@ void NetServer::dispatch_frame(Connection& conn, const WireFrame& frame) {
       AdmissionStats as = service_.admission_stats();
       MemoryBudgetStats ms = service_.memory_budget_stats();
       TilePoolStats ps = service_.tile_pool_stats();
-      BatchStats bs = service_.batch_stats();
       NetServerStats ns = stats();
       std::ostringstream os;
       os << "connections=" << conns_.size() << " accepted=" << ns.accepted
@@ -315,12 +314,7 @@ void NetServer::dispatch_frame(Connection& conn, const WireFrame& frame) {
          << " budget_limit=" << ms.limit_bytes << " budget_bytes=" << ms.bytes
          << " budget_high_water=" << ms.high_water
          << " pool_entries=" << ps.entries << " pool_bytes=" << ps.bytes
-         << " pool_shared_refs=" << ps.shared_refs
-         << " batches_formed=" << bs.batches_formed
-         << " batched_requests=" << bs.batched_requests
-         << " fused_requests=" << bs.fused_requests
-         << " fused_kernels=" << bs.fused_kernels
-         << " batch_occupancy=" << bs.mean_occupancy();
+         << " pool_shared_refs=" << ps.shared_refs;
       conn.send(encode_stats_reply(frame.corr, os.str()));
       return;
     }

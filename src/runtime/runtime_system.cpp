@@ -100,213 +100,197 @@ double detailed_pair_cycles(const PairDecision& d, const Tile& x, const Tile& y,
   return 0.0;
 }
 
-// ---------------------------------------------------------------------------
-// Per-kernel execution phases, shared verbatim between the solo execute()
-// and the fused execute_batch() below. Any change to one path IS a change
-// to the other — that is what keeps batched results bit-identical to solo.
-// ---------------------------------------------------------------------------
+}  // namespace
 
-/// Everything one kernel instance carries between phases.
-struct KernelPass {
-  const KernelIR* ir = nullptr;
-  KernelOperands ops;
-  std::vector<Task> tasks;
-  PartitionedMatrix out;
-};
-
-KernelPass begin_kernel(const CompiledProgram& prog, std::size_t l,
-                        const std::vector<PartitionedMatrix>& node_outputs) {
-  const KernelIR& ir = prog.kernels[l];
-  KernelPass kp;
-  kp.ir = &ir;
-  kp.ops = resolve_operands(prog, ir, node_outputs);
-  kp.tasks = generate_tasks(ir);
-  kp.out = PartitionedMatrix(ir.num_vertices, ir.spec.out_dim, prog.plan.n1,
-                             prog.plan.n2);
-  return kp;
-}
-
-/// One task's functional math. Each task owns its output tile, so any
-/// number of tasks — of one kernel or of several batch members — may run
-/// concurrently without aliasing.
-void run_functional_task(KernelPass& kp, const Task& t, double thr) {
-  const PartitionedMatrix& X = *kp.ops.x;
-  const PartitionedMatrix& Y = *kp.ops.y;
-  DenseMatrix acc(kp.out.tile_row_count(t.out_gi), kp.out.tile_col_count(t.out_gk),
-                  Layout::kRowMajor);
-  for (std::int64_t j = 0; j < t.inner_steps; ++j)
-    accumulate_product(X.tile(t.out_gi, j), Y.tile(j, t.out_gk), acc, kp.ir->spec.op);
-  kp.out.set_tile_from_dense(t.out_gi, t.out_gk, std::move(acc), thr);
-}
-
-/// Combine (GraphSAGE) then activation, both in the store pipeline.
-void finish_functional(KernelPass& kp,
-                       const std::vector<PartitionedMatrix>& node_outputs,
-                       double thr) {
-  if (kp.ir->spec.add_input >= 0)
-    kp.out.add_inplace(node_outputs[static_cast<std::size_t>(kp.ir->spec.add_input)],
-                       thr);
-  if (kp.ir->spec.act != Activation::kNone)
-    kp.out.apply_elementwise(activation_fn(kp.ir->spec.act), thr);
-}
-
-/// Analyzer + per-task pricing + greedy list schedule + soft-processor
-/// accounting for one kernel; appends the kernel report and advances the
-/// per-request accumulators. Deliberately NOT fused across batch members:
-/// parallel_reduce's chunk-combine shape depends on the element count, so
-/// fusing reductions of different members would change the combine order
-/// and break bit-identity with solo runs.
-void price_and_schedule(const CompiledProgram& prog, const RuntimeOptions& opt,
-                        KernelPass& kp, ComputeCoreModel& core, SoftProcessor& soft,
-                        ExecutionResult& result) {
+ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
+                        const CancellationToken& token) {
   const SimConfig& cfg = prog.config;
-  const KernelIR& ir = *kp.ir;
-  const PartitionedMatrix& X = *kp.ops.x;
-  const PartitionedMatrix& Y = *kp.ops.y;
-  const std::vector<Task>& tasks = kp.tasks;
-  PartitionedMatrix& out = kp.out;
+  ComputeCoreModel core(cfg);
+  SoftProcessor soft(cfg);
+  const double thr = cfg.sparse_storage_threshold;
 
-  KernelExecutionReport rep;
-  rep.node_id = ir.node_id;
-  {
-    std::ostringstream name;
-    name << ir.spec.kind_name() << " L" << ir.spec.layer_id;
-    rep.name = name.str();
-  }
-  rep.tasks = static_cast<std::int64_t>(tasks.size());
-  MappedKernelKind mkind = ir.spec.kind == KernelKind::kAggregate
-                               ? MappedKernelKind::kAggregate
-                               : MappedKernelKind::kUpdate;
+  ExecutionResult result;
+  result.kernels.reserve(prog.kernels.size());
+  std::vector<PartitionedMatrix> node_outputs(prog.kernels.size());
 
-  // Operand-strip reuse under double buffering: the grid_i tasks of one
-  // output column all consume the same Y column strip (one weight strip
-  // for Update, one H column strip for Aggregate); when that strip fits
-  // the on-chip buffer it is loaded once per core, not once per task.
-  // Symmetrically for X row strips shared by the grid_k tasks of one
-  // output row. Amortized share = cores / tasks-sharing-the-strip.
-  const double cores = static_cast<double>(cfg.num_cores);
-  double y_reuse = 1.0, x_reuse = 1.0;
-  if (ir.scheme.grid_k > 0) {
-    std::size_t y_strip =
-        Y.ddr_bytes(cfg) / static_cast<std::size_t>(ir.scheme.grid_k);
-    if (y_strip <= cfg.onchip_tile_bytes && ir.scheme.grid_i > cfg.num_cores)
-      y_reuse = cores / static_cast<double>(ir.scheme.grid_i);
-  }
-  if (ir.scheme.grid_i > 0) {
-    std::size_t x_strip =
-        X.ddr_bytes(cfg) / static_cast<std::size_t>(ir.scheme.grid_i);
-    if (x_strip <= cfg.onchip_tile_bytes && ir.scheme.grid_k > cfg.num_cores)
-      x_reuse = cores / static_cast<double>(ir.scheme.grid_k);
-  }
-  std::vector<double> durations(tasks.size(), 0.0);
-  // Price every task and reduce the per-task stats in one pass. The
-  // reduction must precede the soft-processor accounting below (which
-  // charges less for pairs the Analyzer short-circuits as empty);
-  // parallel_reduce combines chunk partials in chunk order, so the
-  // totals are deterministic whatever the host thread count.
-  AcceleratorStats kernel_stats = parallel_reduce<AcceleratorStats>(
-      static_cast<std::int64_t>(tasks.size()), AcceleratorStats{},
-      [&](std::int64_t ti, AcceleratorStats& acc) {
-        const Task& t = tasks[static_cast<std::size_t>(ti)];
-        std::vector<PairWork> pairs;
-        pairs.reserve(static_cast<std::size_t>(t.inner_steps));
-        for (std::int64_t j = 0; j < t.inner_steps; ++j) {
-          const Tile& x = X.tile(t.out_gi, j);
-          const Tile& y = Y.tile(j, t.out_gk);
-          // Profile each operand once per pair; the decision and the
-          // shape both consume the same numbers.
-          const double ax = x.density(), ay = y.density();
-          PairDecision d = decide_pair(opt.strategy, mkind, ax, ay, cfg.psys);
-          PairWork w;
-          w.shape = PairShape{x.rows, x.cols, y.cols, ax, ay};
-          w.prim = d.prim;
-          w.alpha_spdmm = d.alpha_spdmm;
-          if (d.prim != Primitive::kSkip)
-            w.load_bytes = x_reuse * static_cast<double>(x.ddr_bytes(cfg)) +
-                           y_reuse * static_cast<double>(y.ddr_bytes(cfg));
-          w.ahm_cycles = d.prim == Primitive::kSkip
-                             ? 0.0
-                             : pair_ahm_cycles(d, x, y, cfg.psys);
-          if (opt.detailed_timing && d.prim != Primitive::kSkip)
-            w.compute_cycles_override = detailed_pair_cycles(d, x, y, cfg.psys);
-          pairs.push_back(w);
-        }
-        const Tile& out_tile = out.tile(t.out_gi, t.out_gk);
-        std::size_t wb_bytes = opt.functional
-                                   ? out_tile.ddr_bytes(cfg)
-                                   : static_cast<std::size_t>(out_tile.rows) *
-                                         static_cast<std::size_t>(out_tile.cols) *
-                                         cfg.dense_elem_bytes;
-        int active_cores = static_cast<int>(
-            std::min<std::int64_t>(cfg.num_cores,
-                                   static_cast<std::int64_t>(tasks.size())));
-        TaskTiming tt =
-            core.time_task(pairs, wb_bytes, out_tile.rows * out_tile.cols,
-                           opt.hide_ahm, active_cores);
-        // Parallel-safe: each task owns its duration slot.
-        durations[static_cast<std::size_t>(ti)] = tt.total_cycles;
-        // Tally primitive usage for the report.
-        AcceleratorStats local;
-        local.tasks = 1;
-        for (const PairWork& w : pairs) {
-          ++local.pairs;
-          switch (w.prim) {
-            case Primitive::kGemm: ++local.pairs_gemm; break;
-            case Primitive::kSpdmm: ++local.pairs_spdmm; break;
-            case Primitive::kSpmm: ++local.pairs_spmm; break;
-            case Primitive::kSkip: ++local.pairs_skipped; break;
+  for (const KernelIR& ir : prog.kernels) {
+    // Kernel boundary: the cooperative abort point (never mid-kernel, so
+    // a run that finishes is bit-identical to an uncancellable one) and
+    // the chaos layer's transient-execution-failure site.
+    token.check();
+    if (fault_point(kFaultRuntimeKernelFault))
+      throw FaultInjectedError("injected kernel fault (node " +
+                               std::to_string(ir.node_id) + ")");
+    KernelOperands ops = resolve_operands(prog, ir, node_outputs);
+    const PartitionedMatrix& X = *ops.x;
+    const PartitionedMatrix& Y = *ops.y;
+    std::vector<Task> tasks = generate_tasks(ir);
+
+    PartitionedMatrix out(ir.num_vertices, ir.spec.out_dim, prog.plan.n1, prog.plan.n2);
+
+    // ---- Functional execution (work-stealing host pool; each task owns
+    // its output tile, so parallel writes never alias, and the chunks of
+    // this one loop fan out across every idle worker — concurrent
+    // requests share the same pool without serializing). ------------------
+    if (opt.functional) {
+      parallel_for(
+          static_cast<std::int64_t>(tasks.size()),
+          [&](std::int64_t ti) {
+            const Task& t = tasks[static_cast<std::size_t>(ti)];
+            DenseMatrix acc(out.tile_row_count(t.out_gi), out.tile_col_count(t.out_gk),
+                            Layout::kRowMajor);
+            for (std::int64_t j = 0; j < t.inner_steps; ++j)
+              accumulate_product(X.tile(t.out_gi, j), Y.tile(j, t.out_gk), acc,
+                                 ir.spec.op);
+            out.set_tile_from_dense(t.out_gi, t.out_gk, std::move(acc), thr);
+          },
+          opt.host_threads);
+      // Combine (GraphSAGE) then activation, both in the store pipeline.
+      if (ir.spec.add_input >= 0)
+        out.add_inplace(node_outputs[static_cast<std::size_t>(ir.spec.add_input)], thr);
+      if (ir.spec.act != Activation::kNone)
+        out.apply_elementwise(activation_fn(ir.spec.act), thr);
+    }
+
+    // ---- Analyzer + per-task pricing ------------------------------------
+    KernelExecutionReport rep;
+    rep.node_id = ir.node_id;
+    {
+      std::ostringstream name;
+      name << ir.spec.kind_name() << " L" << ir.spec.layer_id;
+      rep.name = name.str();
+    }
+    rep.tasks = static_cast<std::int64_t>(tasks.size());
+    MappedKernelKind mkind = ir.spec.kind == KernelKind::kAggregate
+                                 ? MappedKernelKind::kAggregate
+                                 : MappedKernelKind::kUpdate;
+
+    // Operand-strip reuse under double buffering: the grid_i tasks of one
+    // output column all consume the same Y column strip (one weight strip
+    // for Update, one H column strip for Aggregate); when that strip fits
+    // the on-chip buffer it is loaded once per core, not once per task.
+    // Symmetrically for X row strips shared by the grid_k tasks of one
+    // output row. Amortized share = cores / tasks-sharing-the-strip.
+    const double cores = static_cast<double>(cfg.num_cores);
+    double y_reuse = 1.0, x_reuse = 1.0;
+    if (ir.scheme.grid_k > 0) {
+      std::size_t y_strip =
+          Y.ddr_bytes(cfg) / static_cast<std::size_t>(ir.scheme.grid_k);
+      if (y_strip <= cfg.onchip_tile_bytes && ir.scheme.grid_i > cfg.num_cores)
+        y_reuse = cores / static_cast<double>(ir.scheme.grid_i);
+    }
+    if (ir.scheme.grid_i > 0) {
+      std::size_t x_strip =
+          X.ddr_bytes(cfg) / static_cast<std::size_t>(ir.scheme.grid_i);
+      if (x_strip <= cfg.onchip_tile_bytes && ir.scheme.grid_k > cfg.num_cores)
+        x_reuse = cores / static_cast<double>(ir.scheme.grid_k);
+    }
+    std::vector<double> durations(tasks.size(), 0.0);
+    // Price every task and reduce the per-task stats in one pass. The
+    // reduction must precede the soft-processor accounting below (which
+    // charges less for pairs the Analyzer short-circuits as empty);
+    // parallel_reduce combines chunk partials in chunk order, so the
+    // totals are deterministic whatever the host thread count.
+    AcceleratorStats kernel_stats = parallel_reduce<AcceleratorStats>(
+        static_cast<std::int64_t>(tasks.size()), AcceleratorStats{},
+        [&](std::int64_t ti, AcceleratorStats& acc) {
+          const Task& t = tasks[static_cast<std::size_t>(ti)];
+          std::vector<PairWork> pairs;
+          pairs.reserve(static_cast<std::size_t>(t.inner_steps));
+          for (std::int64_t j = 0; j < t.inner_steps; ++j) {
+            const Tile& x = X.tile(t.out_gi, j);
+            const Tile& y = Y.tile(j, t.out_gk);
+            // Profile each operand once per pair; the decision and the
+            // shape both consume the same numbers.
+            const double ax = x.density(), ay = y.density();
+            PairDecision d = decide_pair(opt.strategy, mkind, ax, ay, cfg.psys);
+            PairWork w;
+            w.shape = PairShape{x.rows, x.cols, y.cols, ax, ay};
+            w.prim = d.prim;
+            w.alpha_spdmm = d.alpha_spdmm;
+            if (d.prim != Primitive::kSkip)
+              w.load_bytes = x_reuse * static_cast<double>(x.ddr_bytes(cfg)) +
+                             y_reuse * static_cast<double>(y.ddr_bytes(cfg));
+            w.ahm_cycles = d.prim == Primitive::kSkip
+                               ? 0.0
+                               : pair_ahm_cycles(d, x, y, cfg.psys);
+            if (opt.detailed_timing && d.prim != Primitive::kSkip)
+              w.compute_cycles_override = detailed_pair_cycles(d, x, y, cfg.psys);
+            pairs.push_back(w);
           }
-        }
-        local.mode_switches = tt.mode_switches;
-        local.compute_cycles = tt.compute_cycles;
-        local.memory_cycles = tt.memory_cycles;
-        local.ahm_cycles = tt.ahm_cycles;
-        acc.merge(local);
-      },
-      [](AcceleratorStats& into, const AcceleratorStats& from) { into.merge(from); },
-      opt.host_threads);
+          const Tile& out_tile = out.tile(t.out_gi, t.out_gk);
+          std::size_t wb_bytes = opt.functional
+                                     ? out_tile.ddr_bytes(cfg)
+                                     : static_cast<std::size_t>(out_tile.rows) *
+                                           static_cast<std::size_t>(out_tile.cols) *
+                                           cfg.dense_elem_bytes;
+          int active_cores = static_cast<int>(
+              std::min<std::int64_t>(cfg.num_cores,
+                                     static_cast<std::int64_t>(tasks.size())));
+          TaskTiming tt =
+              core.time_task(pairs, wb_bytes, out_tile.rows * out_tile.cols,
+                             opt.hide_ahm, active_cores);
+          // Parallel-safe: each task owns its duration slot.
+          durations[static_cast<std::size_t>(ti)] = tt.total_cycles;
+          // Tally primitive usage for the report.
+          AcceleratorStats local;
+          local.tasks = 1;
+          for (const PairWork& w : pairs) {
+            ++local.pairs;
+            switch (w.prim) {
+              case Primitive::kGemm: ++local.pairs_gemm; break;
+              case Primitive::kSpdmm: ++local.pairs_spdmm; break;
+              case Primitive::kSpmm: ++local.pairs_spmm; break;
+              case Primitive::kSkip: ++local.pairs_skipped; break;
+            }
+          }
+          local.mode_switches = tt.mode_switches;
+          local.compute_cycles = tt.compute_cycles;
+          local.memory_cycles = tt.memory_cycles;
+          local.ahm_cycles = tt.ahm_cycles;
+          acc.merge(local);
+        },
+        [](AcceleratorStats& into, const AcceleratorStats& from) { into.merge(from); },
+        opt.host_threads);
 
-  rep.pairs = kernel_stats.pairs;
-  rep.pairs_gemm = kernel_stats.pairs_gemm;
-  rep.pairs_spdmm = kernel_stats.pairs_spdmm;
-  rep.pairs_spmm = kernel_stats.pairs_spmm;
-  rep.pairs_skipped = kernel_stats.pairs_skipped;
-  rep.compute_cycles = kernel_stats.compute_cycles;
-  rep.memory_cycles = kernel_stats.memory_cycles;
-  rep.ahm_cycles = kernel_stats.ahm_cycles;
-  result.stats.mode_switches += kernel_stats.mode_switches;
+    rep.pairs = kernel_stats.pairs;
+    rep.pairs_gemm = kernel_stats.pairs_gemm;
+    rep.pairs_spdmm = kernel_stats.pairs_spdmm;
+    rep.pairs_spmm = kernel_stats.pairs_spmm;
+    rep.pairs_skipped = kernel_stats.pairs_skipped;
+    rep.compute_cycles = kernel_stats.compute_cycles;
+    rep.memory_cycles = kernel_stats.memory_cycles;
+    rep.ahm_cycles = kernel_stats.ahm_cycles;
+    result.stats.mode_switches += kernel_stats.mode_switches;
 
-  // ---- Scheduler: greedy list schedule over the Computation Cores ----
-  ScheduleResult sched = schedule_tasks(durations, cfg.num_cores);
-  rep.makespan_cycles = sched.makespan_cycles;
-  rep.load_imbalance = sched.load_imbalance();
-  if (opt.collect_timeline)
-    result.timeline.push_back(ExecutionResult::KernelTimeline{
-        rep.name, schedule_timeline(durations, cfg.num_cores), result.exec_cycles});
+    // ---- Scheduler: greedy list schedule over the Computation Cores ----
+    ScheduleResult sched = schedule_tasks(durations, cfg.num_cores);
+    rep.makespan_cycles = sched.makespan_cycles;
+    rep.load_imbalance = sched.load_imbalance();
+    if (opt.collect_timeline)
+      result.timeline.push_back(ExecutionResult::KernelTimeline{
+          rep.name, schedule_timeline(durations, cfg.num_cores), result.exec_cycles});
 
-  // ---- Soft processor accounting --------------------------------------
-  double soft_before = soft.cycles();
-  double k2p_cycles = 0.0;
-  if (opt.strategy == MappingStrategy::kDynamic) {
-    soft.charge_k2p(rep.pairs - rep.pairs_skipped);
-    soft.charge_k2p_skips(rep.pairs_skipped);
-    k2p_cycles = soft.cycles() - soft_before;
+    // ---- Soft processor accounting --------------------------------------
+    double soft_before = soft.cycles();
+    double k2p_cycles = 0.0;
+    if (opt.strategy == MappingStrategy::kDynamic) {
+      soft.charge_k2p(rep.pairs - rep.pairs_skipped);
+      soft.charge_k2p_skips(rep.pairs_skipped);
+      k2p_cycles = soft.cycles() - soft_before;
+    }
+    soft.charge_dispatch(static_cast<std::int64_t>(tasks.size()));
+    rep.soft_cycles = soft.cycles() - soft_before;
+    rep.k2p_soft_cycles = k2p_cycles;
+
+    rep.output_density = out.density();
+    result.node_densities.push_back(rep.output_density);
+    result.exec_cycles += rep.makespan_cycles;
+    result.kernels.push_back(rep);
+    node_outputs[static_cast<std::size_t>(ir.node_id)] = std::move(out);
   }
-  soft.charge_dispatch(static_cast<std::int64_t>(tasks.size()));
-  rep.soft_cycles = soft.cycles() - soft_before;
-  rep.k2p_soft_cycles = k2p_cycles;
 
-  rep.output_density = out.density();
-  result.node_densities.push_back(rep.output_density);
-  result.exec_cycles += rep.makespan_cycles;
-  result.kernels.push_back(rep);
-}
-
-/// Roll kernel reports up into the request-level result (stats totals,
-/// latency model, final output matrix).
-void finalize_result(const SimConfig& cfg, const RuntimeOptions& opt,
-                     std::vector<PartitionedMatrix>& node_outputs,
-                     ExecutionResult& result) {
+  // Aggregate stats from kernel reports.
   for (const KernelExecutionReport& k : result.kernels) {
     result.stats.tasks += k.tasks;
     result.stats.pairs += k.pairs;
@@ -345,265 +329,7 @@ void finalize_result(const SimConfig& cfg, const RuntimeOptions& opt,
       result.exec_ms > 0.0 ? result.soft_ms / result.exec_ms : 0.0;
 
   if (!node_outputs.empty()) result.output = std::move(node_outputs.back());
-}
-
-}  // namespace
-
-ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
-                        const CancellationToken& token) {
-  const SimConfig& cfg = prog.config;
-  ComputeCoreModel core(cfg);
-  SoftProcessor soft(cfg);
-  const double thr = cfg.sparse_storage_threshold;
-
-  ExecutionResult result;
-  result.kernels.reserve(prog.kernels.size());
-  std::vector<PartitionedMatrix> node_outputs(prog.kernels.size());
-
-  for (std::size_t l = 0; l < prog.kernels.size(); ++l) {
-    const KernelIR& ir = prog.kernels[l];
-    // Kernel boundary: the cooperative abort point (never mid-kernel, so
-    // a run that finishes is bit-identical to an uncancellable one) and
-    // the chaos layer's transient-execution-failure site.
-    token.check();
-    if (fault_point(kFaultRuntimeKernelFault))
-      throw FaultInjectedError("injected kernel fault (node " +
-                               std::to_string(ir.node_id) + ")");
-    KernelPass kp = begin_kernel(prog, l, node_outputs);
-
-    // ---- Functional execution (work-stealing host pool; each task owns
-    // its output tile, so parallel writes never alias, and the chunks of
-    // this one loop fan out across every idle worker — concurrent
-    // requests share the same pool without serializing). ------------------
-    if (opt.functional) {
-      parallel_for(
-          static_cast<std::int64_t>(kp.tasks.size()),
-          [&](std::int64_t ti) {
-            run_functional_task(kp, kp.tasks[static_cast<std::size_t>(ti)], thr);
-          },
-          opt.host_threads);
-      finish_functional(kp, node_outputs, thr);
-    }
-
-    price_and_schedule(prog, opt, kp, core, soft, result);
-    node_outputs[static_cast<std::size_t>(ir.node_id)] = std::move(kp.out);
-  }
-
-  finalize_result(cfg, opt, node_outputs, result);
   return result;
-}
-
-namespace {
-
-/// Per-member running state of a fused batch — exactly the locals of one
-/// solo execute() call, boxed so members advance in lockstep.
-struct MemberRun {
-  const CompiledProgram* prog;
-  const RuntimeOptions* opt;
-  CancellationToken token;
-  ComputeCoreModel core;
-  SoftProcessor soft;
-  double thr;
-  ExecutionResult result;
-  std::vector<PartitionedMatrix> node_outputs;
-  std::exception_ptr error;
-
-  explicit MemberRun(const BatchMember& m)
-      : prog(m.prog),
-        opt(&m.opt),
-        token(m.token),
-        core(m.prog->config),
-        soft(m.prog->config),
-        thr(m.prog->config.sparse_storage_threshold),
-        node_outputs(m.prog->kernels.size()) {
-    result.kernels.reserve(m.prog->kernels.size());
-  }
-  bool live() const { return !error; }
-};
-
-/// Structurally batchable: same kernel sequence shape and partition
-/// geometry, so every member generates the identical task grid per
-/// kernel. Guaranteed by equal plan_signature (the service's group key);
-/// verified here so execute_batch stays safe for arbitrary callers.
-bool batch_compatible(const std::vector<BatchMember>& members) {
-  const CompiledProgram& p0 = *members[0].prog;
-  for (const BatchMember& m : members) {
-    const CompiledProgram& p = *m.prog;
-    if (p.kernels.size() != p0.kernels.size()) return false;
-    if (p.plan.n1 != p0.plan.n1 || p.plan.n2 != p0.plan.n2) return false;
-    for (std::size_t l = 0; l < p.kernels.size(); ++l) {
-      const KernelIR& a = p.kernels[l];
-      const KernelIR& b = p0.kernels[l];
-      if (a.spec.kind != b.spec.kind || a.spec.out_dim != b.spec.out_dim ||
-          a.num_vertices != b.num_vertices)
-        return false;
-    }
-  }
-  return true;
-}
-
-/// Tighter of the members' host-thread caps (0 = uncapped) for the fused
-/// loops. Results are thread-count-invariant, so this only affects
-/// wall-clock, never bit-identity.
-int fused_thread_cap(const std::vector<MemberRun>& runs,
-                     const std::vector<std::size_t>& live) {
-  int cap = 0;
-  for (std::size_t m : live) {
-    int ht = runs[m].opt->host_threads;
-    if (ht > 0) cap = cap == 0 ? ht : std::min(cap, ht);
-  }
-  return cap;
-}
-
-}  // namespace
-
-BatchExecution execute_batch(const std::vector<BatchMember>& members) {
-  BatchExecution bx;
-  bx.members.resize(members.size());
-  if (members.empty()) return bx;
-
-  // Non-batchable group (caller mixed plan shapes): solo per member.
-  if (!batch_compatible(members)) {
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      try {
-        bx.members[m].result =
-            execute(*members[m].prog, members[m].opt, members[m].token);
-      } catch (...) {
-        bx.members[m].error = std::current_exception();
-      }
-    }
-    return bx;
-  }
-
-  std::vector<MemberRun> runs;
-  runs.reserve(members.size());
-  for (const BatchMember& m : members) runs.emplace_back(m);
-
-  const std::size_t num_kernels = members[0].prog->kernels.size();
-  bx.total_kernels = static_cast<std::int64_t>(num_kernels);
-
-  for (std::size_t l = 0; l < num_kernels; ++l) {
-    // Kernel boundary, per member in index order: each member's token
-    // check and runtime.kernel_fault draw happen exactly as in its solo
-    // run, so an abort or injected fault drops THAT member from the batch
-    // and its batchmates continue. Member order is fixed, which keeps
-    // chaos outcomes seed-reproducible for a given batch composition.
-    std::vector<KernelPass> passes(runs.size());
-    std::vector<std::size_t> live;
-    for (std::size_t m = 0; m < runs.size(); ++m) {
-      if (!runs[m].live()) continue;
-      try {
-        runs[m].token.check();
-        if (fault_point(kFaultRuntimeKernelFault))
-          throw FaultInjectedError(
-              "injected kernel fault (node " +
-              std::to_string(runs[m].prog->kernels[l].node_id) + ")");
-        passes[m] = begin_kernel(*runs[m].prog, l, runs[m].node_outputs);
-        live.push_back(m);
-      } catch (...) {
-        runs[m].error = std::current_exception();
-      }
-    }
-    if (live.empty()) break;
-
-    // ---- Fused functional execution ------------------------------------
-    // Shared-sweep eligibility: every live member reads the SAME X operand
-    // object (pointer equality — the tile pool's dataset-keyed sharing, or
-    // a literally shared program) under the same accumulation op. Then one
-    // pass over X's tiles feeds every member's accumulator — the batched
-    // spmm/spdmm sweep. Otherwise (Update kernels, pool off) the members'
-    // tasks still fuse into one flat parallel loop over (member, task).
-    const std::vector<Task>& tasks0 = passes[live[0]].tasks;
-    bool all_functional = true, shared_x = true, same_op = true;
-    for (std::size_t m : live) {
-      if (!runs[m].opt->functional) all_functional = false;
-      if (passes[m].ops.x != passes[live[0]].ops.x) shared_x = false;
-      if (passes[m].ir->spec.op != passes[live[0]].ir->spec.op) same_op = false;
-    }
-    const bool fused_sweep =
-        all_functional && shared_x && same_op && live.size() >= 2;
-    const int threads = fused_thread_cap(runs, live);
-    try {
-      if (fused_sweep) {
-        ++bx.fused_kernels;
-        const PartitionedMatrix& X = *passes[live[0]].ops.x;
-        const AccumOp op = passes[live[0]].ir->spec.op;
-        parallel_for(
-            static_cast<std::int64_t>(tasks0.size()),
-            [&](std::int64_t ti) {
-              const Task& t = tasks0[static_cast<std::size_t>(ti)];
-              // One accumulator per member; each member's accumulation
-              // order over j (and within each tile product) is exactly its
-              // solo order — only the X tile streams are shared.
-              std::vector<DenseMatrix> accs;
-              accs.reserve(live.size());
-              for (std::size_t m : live)
-                accs.emplace_back(passes[m].out.tile_row_count(t.out_gi),
-                                  passes[m].out.tile_col_count(t.out_gk),
-                                  Layout::kRowMajor);
-              std::vector<const Tile*> ys(live.size());
-              std::vector<DenseMatrix*> zs(live.size());
-              for (std::int64_t j = 0; j < t.inner_steps; ++j) {
-                for (std::size_t i = 0; i < live.size(); ++i) {
-                  ys[i] = &passes[live[i]].ops.y->tile(j, t.out_gk);
-                  zs[i] = &accs[i];
-                }
-                accumulate_product_batched(X.tile(t.out_gi, j), ys, zs, op);
-              }
-              for (std::size_t i = 0; i < live.size(); ++i)
-                passes[live[i]].out.set_tile_from_dense(
-                    t.out_gi, t.out_gk, std::move(accs[i]), runs[live[i]].thr);
-            },
-            threads);
-      } else {
-        // Flat fusion: every live functional member's tasks in one
-        // parallel loop. Task math is run_functional_task — the solo body.
-        std::vector<std::pair<std::size_t, std::size_t>> flat;
-        for (std::size_t m : live) {
-          if (!runs[m].opt->functional) continue;
-          for (std::size_t ti = 0; ti < passes[m].tasks.size(); ++ti)
-            flat.emplace_back(m, ti);
-        }
-        parallel_for(
-            static_cast<std::int64_t>(flat.size()),
-            [&](std::int64_t i) {
-              auto [m, ti] = flat[static_cast<std::size_t>(i)];
-              run_functional_task(passes[m], passes[m].tasks[ti], runs[m].thr);
-            },
-            threads);
-      }
-      for (std::size_t m : live)
-        if (runs[m].opt->functional)
-          finish_functional(passes[m], runs[m].node_outputs, runs[m].thr);
-    } catch (...) {
-      // A failure inside the fused sweep (allocation, library error) has
-      // no single owner: fail every still-live member with it. Member-
-      // attributable failures (tokens, chaos faults) only occur at the
-      // kernel boundary above.
-      std::exception_ptr err = std::current_exception();
-      for (std::size_t m : live) runs[m].error = err;
-      break;
-    }
-
-    // ---- Pricing / scheduling / soft-processor: strictly per member ----
-    for (std::size_t m : live) {
-      price_and_schedule(*runs[m].prog, *runs[m].opt, passes[m], runs[m].core,
-                         runs[m].soft, runs[m].result);
-      runs[m].node_outputs[static_cast<std::size_t>(passes[m].ir->node_id)] =
-          std::move(passes[m].out);
-    }
-  }
-
-  for (std::size_t m = 0; m < runs.size(); ++m) {
-    if (runs[m].error) {
-      bx.members[m].error = runs[m].error;
-    } else {
-      finalize_result(runs[m].prog->config, *runs[m].opt, runs[m].node_outputs,
-                      runs[m].result);
-      bx.members[m].result = std::move(runs[m].result);
-    }
-  }
-  return bx;
 }
 
 }  // namespace dynasparse

@@ -119,56 +119,4 @@ struct ExecutionResult {
 ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
                         const CancellationToken& token = {});
 
-/// One member of a fused cross-request batch. Members are grouped by the
-/// service on equal plan_signature + dataset_signature, so their programs
-/// share partition geometry and (when the tile pool is on) pointer-equal
-/// adjacency operands — but each member keeps its own program (weights
-/// may differ), options, and cancellation token.
-struct BatchMember {
-  const CompiledProgram* prog = nullptr;
-  RuntimeOptions opt;
-  CancellationToken token;
-};
-
-/// Per-member outcome of execute_batch: `error` null means `result` is a
-/// completed execution bit-identical to what solo execute() would have
-/// produced; `error` set means this member aborted or failed (the raw
-/// exception — CancelledError / DeadlineExceededError /
-/// FaultInjectedError / anything else — for the caller to classify).
-struct BatchMemberResult {
-  ExecutionResult result;
-  std::exception_ptr error;
-};
-
-struct BatchExecution {
-  std::vector<BatchMemberResult> members;  // one per input, same order
-  /// Kernels whose functional math ran as ONE sweep over a shared
-  /// (pointer-equal) X operand feeding every live member — the fused
-  /// multi-feature path. Kernels with per-member X (Update kernels, or
-  /// aggregates when the tile pool is off) still execute inside one flat
-  /// cross-member parallel loop, they just don't share operand streams.
-  std::int64_t fused_kernels = 0;
-  std::int64_t total_kernels = 0;
-};
-
-/// Execute several plan-compatible programs as one fused batch.
-///
-/// Determinism contract: every member's completed ExecutionResult is
-/// BIT-IDENTICAL to solo execute() with the same (prog, opt) — fusion
-/// only restructures scheduling (which tasks run concurrently), never a
-/// member's per-element FP operation sequence, its primitive dispatch,
-/// or its pricing reduction shape. Per-member isolation mirrors solo
-/// semantics at every kernel boundary, in member order: the member's
-/// token is checked and the runtime.kernel_fault chaos site is drawn
-/// once per member, so a cancelled/expired/faulted member drops out of
-/// the batch alone and its batchmates continue unperturbed. An exception
-/// escaping the fused functional sweep itself (e.g. allocation failure —
-/// not attributable to one member) fails every still-live member.
-///
-/// Falls back to per-member solo execution when the programs are not
-/// structurally batchable (different kernel sequences or partition
-/// geometry) — callers may pass any group; compatible grouping only
-/// affects speed, never correctness.
-BatchExecution execute_batch(const std::vector<BatchMember>& members);
-
 }  // namespace dynasparse

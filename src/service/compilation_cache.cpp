@@ -10,8 +10,7 @@ CompiledProgram CompilationCache::compile_miss(const GnnModel& model,
   OperandSource operands;
   operands.pool = pool_.get();
   operands.dataset_sig = dataset_sig;
-  return plans_ ? plans_->compile_seeded(model, ds, cfg, token, operands)
-                : compile(model, ds, cfg, token, operands);
+  return compile(model, ds, cfg, token, operands);
 }
 
 std::shared_ptr<const CompiledProgram> CompilationCache::get_or_compile(

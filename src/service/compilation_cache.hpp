@@ -22,7 +22,6 @@
 #include "compiler/compiler.hpp"
 #include "compiler/signature.hpp"
 #include "matrix/tile_pool.hpp"
-#include "service/plan_store.hpp"
 #include "util/keyed_future_cache.hpp"
 #include "util/memory_budget.hpp"
 
@@ -42,25 +41,19 @@ struct CacheStats {
 
 class CompilationCache {
  public:
-  /// `plans` (optional, shared) seeds the plan of every cache-miss
-  /// compile: a miss first consults the PlanStore for a plan-compatible
-  /// snapshot (service/plan_store.hpp) and routes through
-  /// compile_with_plan, re-planning from scratch only for never-seen plan
-  /// shapes. Null = every miss plans from scratch (the pre-PlanStore
-  /// behavior). `max_bytes` bounds the approximate resident program
-  /// footprint (0 = count-only LRU, the pre-budget behavior); `tier`
-  /// mirrors those bytes into a shared MemoryBudget; `pool` routes the
-  /// dataset operands of every miss-compile through the shared TilePool
-  /// (null = private copies).
+  /// `max_bytes` bounds the approximate resident program footprint (0 =
+  /// count-only LRU, the pre-budget behavior); `tier` mirrors those bytes
+  /// into a shared MemoryBudget; `pool` routes the dataset operands of
+  /// every miss-compile through the shared TilePool (null = private
+  /// copies).
   explicit CompilationCache(std::size_t capacity = 16,
-                            std::shared_ptr<PlanStore> plans = nullptr,
                             std::size_t max_bytes = 0,
                             std::shared_ptr<MemoryBudget::Tier> tier = nullptr,
                             std::shared_ptr<TilePool> pool = nullptr)
       : impl_(capacity, max_bytes,
               [](const CompiledProgram& p) { return p.approx_footprint_bytes(); },
               std::move(tier), LockRank::kCompileCache),
-        plans_(std::move(plans)), pool_(std::move(pool)) {}
+        pool_(std::move(pool)) {}
 
   /// Return the program for (model, ds, cfg), compiling at most once per
   /// content key. May block while another thread compiles the same key.
@@ -88,8 +81,6 @@ class CompilationCache {
 
   CacheStats stats() const;
   std::size_t capacity() const { return impl_.max_entries(); }
-  /// The plan store seeding this cache's misses, or null.
-  const std::shared_ptr<PlanStore>& plan_store() const { return plans_; }
   /// The tile pool sharing this cache's dataset operands, or null.
   const std::shared_ptr<TilePool>& tile_pool() const { return pool_; }
   /// Drop every ready entry (in-flight compiles complete unobserved).
@@ -101,14 +92,13 @@ class CompilationCache {
   void shrink_to_bytes(std::size_t target) { impl_.shrink_to_bytes(target); }
 
  private:
-  /// compile(), optionally plan-seeded through the store and
-  /// operand-pooled. `dataset_sig` keys the pool (0 = don't pool).
+  /// compile() with operands routed through the pool. `dataset_sig` keys
+  /// the pool (0 = don't pool).
   CompiledProgram compile_miss(const GnnModel& model, const Dataset& ds,
                                const SimConfig& cfg, const CancellationToken& token,
                                std::uint64_t dataset_sig) const;
 
   KeyedFutureCache<CompileKey, CompiledProgram> impl_;
-  std::shared_ptr<PlanStore> plans_;
   std::shared_ptr<TilePool> pool_;
 };
 

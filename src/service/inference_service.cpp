@@ -40,32 +40,10 @@ ServiceOptions default_engine_options() {
       parse_env_size_bytes("DYNASPARSE_MEM_BUDGET", opts.memory_budget_bytes);
   opts.tile_pool_capacity =
       parse_env_size("DYNASPARSE_TILE_POOL", opts.tile_pool_capacity);
-  opts.plan_store_capacity = parse_env_size("DYNASPARSE_PLAN_STORE", 0);
-  if (const char* dir = env_text("DYNASPARSE_PLAN_STORE_DIR"))
-    opts.plan_store_dir = dir;
   // Deadline knob for submitted requests; run_inference routes through
   // run_one, which is never deadline-bounded.
   opts.default_deadline_ms = parse_env_duration_ms("DYNASPARSE_DEADLINE_MS", 0);
-  // Continuous batching (off by default). The window is a bare integer in
-  // MICROSECONDS — batching windows live well under a millisecond, so the
-  // duration parser's ms unit would be the wrong default here.
-  opts.batch_window_us = static_cast<std::int64_t>(
-      parse_env_size("DYNASPARSE_BATCH_WINDOW_US", 0));
-  opts.max_batch_size = parse_env_size("DYNASPARSE_BATCH_MAX", 0);
   return opts;
-}
-
-/// The PlanStore for `opts`, or null when plan reuse is disabled. Plans
-/// are small (kilobytes against the caches' megabytes), so their tier
-/// weight is a fixed 32 MiB rather than a knob.
-std::shared_ptr<PlanStore> make_plan_store(const ServiceOptions& opts,
-                                           MemoryBudget& budget) {
-  if (opts.plan_store_capacity == 0) return nullptr;
-  PlanStoreOptions po;
-  po.capacity = opts.plan_store_capacity;
-  po.dir = opts.plan_store_dir;
-  po.tier = budget.register_tier("plans", static_cast<double>(32u << 20));
-  return std::make_shared<PlanStore>(std::move(po));
 }
 
 /// Reject nonsense, resolve defaults: options().workers always reports
@@ -78,8 +56,6 @@ ServiceOptions validate_and_resolve(ServiceOptions o) {
     throw std::invalid_argument("ServiceOptions::intra_op_threads must be >= 0");
   if (o.default_deadline_ms < 0)
     throw std::invalid_argument("ServiceOptions::default_deadline_ms must be >= 0");
-  if (o.batch_window_us < 0)
-    throw std::invalid_argument("ServiceOptions::batch_window_us must be >= 0");
   if (o.workers == 0) o.workers = std::min(parallel_hardware_threads(), 16);
   o.workers = std::max(o.workers, 1);
   return o;
@@ -143,7 +119,7 @@ ServiceRequest ServiceRequest::borrow(const GnnModel& model, const Dataset& data
 InferenceService::InferenceService(ServiceOptions options)
     : options_(validate_and_resolve(options)),
       budget_(std::make_shared<MemoryBudget>(options_.memory_budget_bytes)),
-      // Tier registration order (pool, plans, compile, result) is the
+      // Tier registration order (pool, compile, result) is the
       // reverse of shrink order — see the member-declaration comment.
       // Under a budget (> 0) the private per-tier byte ceilings switch
       // off and the byte knobs act as tier weights instead.
@@ -151,8 +127,7 @@ InferenceService::InferenceService(ServiceOptions options)
           options_.tile_pool_capacity,
           budget_->register_tier(
               "tile_pool", static_cast<double>(options_.compilation_cache_bytes)))),
-      plan_store_(make_plan_store(options_, *budget_)),
-      cache_(options_.cache_capacity, plan_store_,
+      cache_(options_.cache_capacity,
              options_.memory_budget_bytes > 0 ? 0 : options_.compilation_cache_bytes,
              budget_->register_tier(
                  "compile", static_cast<double>(options_.compilation_cache_bytes)),
@@ -161,22 +136,13 @@ InferenceService::InferenceService(ServiceOptions options)
                     options_.memory_budget_bytes > 0 ? 0 : options_.result_cache_bytes,
                     budget_->register_tier(
                         "result", static_cast<double>(options_.result_cache_bytes))),
-      queue_(options_.max_queue_depth),
-      batcher_(queue_, BatchPolicy{options_.batch_window_us, options_.max_batch_size},
-               [](const Job& job) {
-                 return make_batch_key(*job.request.model, *job.request.dataset,
-                                       job.request.options.config);
-               }) {
+      queue_(options_.max_queue_depth) {
   // Shrinkers bind after the caches exist; they capture raw pointers to
   // members of this object, which is safe because the budget never calls
   // them spontaneously — only from rebalance(), which only runs from
   // inside a live cache's charge path.
   budget_->bind_shrinker("tile_pool",
                          [p = tile_pool_.get()](std::size_t t) { p->shrink_to_bytes(t); });
-  if (plan_store_)
-    budget_->bind_shrinker("plans", [p = plan_store_.get()](std::size_t t) {
-      p->shrink_to_bytes(t);
-    });
   budget_->bind_shrinker("compile",
                          [this](std::size_t t) { cache_.shrink_to_bytes(t); });
   budget_->bind_shrinker("result",
@@ -309,68 +275,47 @@ void InferenceService::ensure_workers() {
 }
 
 void InferenceService::worker_main() {
-  std::vector<Job> jobs;
-  while (batcher_.next_batch(jobs)) process_batch(jobs);
+  for (;;) {
+    // Scoped per iteration: an idle worker holds no finished request's
+    // model or dataset while it blocks on the next pop.
+    Job job;
+    if (!queue_.pop(job)) return;
+    run_job(job);
+  }
 }
 
-void InferenceService::process_batch(std::vector<Job>& jobs) {
+void InferenceService::run_job(const Job& job) {
   // Chaos site: stall between dequeue and the deadline recheck — the
-  // window where a queued request goes stale. One draw per batch: with
-  // batching off every batch is a singleton, so this is exactly the
-  // pre-batching per-job behavior.
+  // window where a queued request goes stale. One draw per job.
   if (fault_point(kFaultQueueDelay))
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  std::vector<RunnableMember> runnable;
-  bool notify = false;
+  CancellationToken token;
+  bool expired = false;
   {
     std::lock_guard<OrderedMutex> lk(slots_mu_);
-    for (Job& job : jobs) {
-      auto it = slots_.find(job.id);
-      // Stale job: cancel()/shutdown failed the slot while it sat in the
-      // queue (and a waiter may even have consumed it already). Skip —
-      // a stale member drops out here without holding up its batchmates.
-      if (it == slots_.end() || it->second.state != RequestState::kQueued)
-        continue;
-      Slot& slot = it->second;
-      CancellationToken token = slot.source.token();
-      // Dequeue recheck: an expired request must never reach the
-      // compiler — fail it here, before any work.
-      if (token.expired()) {
-        if (fail_slot_locked(slot,
-                             std::make_exception_ptr(DeadlineExceededError(
-                                 "request deadline expired while queued"))))
-          ++robust_.expired_in_queue;
-        notify = true;
-        continue;
-      }
+    auto it = slots_.find(job.id);
+    // Stale job: cancel()/shutdown failed the slot while it sat in the
+    // queue (and a waiter may even have consumed it already). Skip.
+    if (it == slots_.end() || it->second.state != RequestState::kQueued) return;
+    Slot& slot = it->second;
+    token = slot.source.token();
+    // Dequeue recheck: an expired request must never reach the compiler —
+    // fail it here, before any work.
+    if (token.expired()) {
+      if (fail_slot_locked(slot,
+                           std::make_exception_ptr(DeadlineExceededError(
+                               "request deadline expired while queued"))))
+        ++robust_.expired_in_queue;
+      expired = true;
+    } else {
       slot.state = RequestState::kRunning;
       slot.started = std::chrono::steady_clock::now();
-      runnable.push_back(RunnableMember{&job, std::move(token)});
-    }
-    // Formation stats count runnable members only, so mean occupancy
-    // measures work actually executed together, not queue bookkeeping.
-    // Unbatched mode records nothing — there are no "batches" to speak
-    // of and the counters stay zero as documented.
-    if (batcher_.policy().enabled() && !runnable.empty()) {
-      ++batch_.batches_formed;
-      batch_.batched_requests += static_cast<std::int64_t>(runnable.size());
-      if (runnable.size() >= 2) {
-        ++batch_.fused_batches;
-        batch_.fused_requests += static_cast<std::int64_t>(runnable.size());
-      }
     }
   }
-  if (notify) slots_cv_.notify_all();
-  if (runnable.empty()) return;
-  if (runnable.size() == 1) {
-    // Degenerate batch: run the pre-batching solo path, bit for bit.
-    run_job(*runnable.front().job, runnable.front().token);
+  if (expired) {
+    slots_cv_.notify_all();
     return;
   }
-  run_fused(runnable);
-}
-
-void InferenceService::run_job(Job& job, const CancellationToken& token) {
   InferenceReport report;
   std::exception_ptr raw;
   try {
@@ -379,101 +324,6 @@ void InferenceService::run_job(Job& job, const CancellationToken& token) {
     raw = std::current_exception();
   }
   publish_result(job.id, std::move(report), std::move(raw), token);
-}
-
-void InferenceService::run_fused(std::vector<RunnableMember>& members) {
-  // One intra-op scope covers the whole batch. A member's own
-  // host_threads cap cannot be honored for the *fused* sweeps (one loop
-  // serves everyone), but execute_batch still applies the tightest
-  // member cap there and each member's pricing loops run under its own
-  // cap — and thread counts never affect results, only wall clock.
-  ParallelMaxThreadsScope scope(options_.intra_op_threads);
-  const std::size_t n = members.size();
-  struct Prep {
-    std::shared_ptr<const CompiledProgram> prog;  // compiled, to execute
-    std::shared_ptr<const InferenceReport> memo;  // result-cache peek hit
-    std::optional<ResultKey> rkey;                // set when memoizing
-    std::exception_ptr error;                     // member-isolated failure
-  };
-  // Per-member compile / memoization peek, failures isolated: a member
-  // whose compile throws (or whose token fired) drops out with its own
-  // error; its batchmates proceed untouched.
-  std::vector<Prep> preps(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ServiceRequest& req = members[i].job->request;
-    try {
-      members[i].token.check();
-      if (result_cache_.enabled()) {
-        const CompileKey ckey =
-            make_compile_key(*req.model, *req.dataset, req.options.config);
-        preps[i].rkey = make_result_key(ckey, req.options.runtime);
-        // A ready memoized report short-circuits this member out of the
-        // fused execution entirely (same outcome as the solo hit path).
-        if ((preps[i].memo = result_cache_.peek(*preps[i].rkey))) continue;
-        preps[i].prog = cache_.get_or_compile(ckey, *req.model, *req.dataset,
-                                              req.options.config,
-                                              members[i].token);
-      } else {
-        preps[i].prog =
-            cache_.get_or_compile(*req.model, *req.dataset,
-                                  req.options.config, members[i].token);
-      }
-      members[i].token.check();  // compile/execute boundary (solo parity)
-    } catch (...) {
-      preps[i].error = std::current_exception();
-    }
-  }
-  // Fused multi-feature execution over the members that still need it.
-  std::vector<std::size_t> exec_member;  // members index per batch entry
-  std::vector<BatchMember> batch;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (preps[i].error || preps[i].memo) continue;
-    exec_member.push_back(i);
-    batch.push_back(BatchMember{preps[i].prog.get(),
-                                members[i].job->request.options.runtime,
-                                members[i].token});
-  }
-  BatchExecution bx;
-  if (!batch.empty()) bx = execute_batch(batch);
-  if (bx.fused_kernels > 0) {
-    std::lock_guard<OrderedMutex> lk(slots_mu_);
-    batch_.fused_kernels += bx.fused_kernels;
-  }
-  std::vector<std::ptrdiff_t> batch_index(n, -1);
-  for (std::size_t j = 0; j < exec_member.size(); ++j) {
-    batch_index[exec_member[j]] = static_cast<std::ptrdiff_t>(j);
-    if (bx.members[j].error)
-      preps[exec_member[j]].error = std::move(bx.members[j].error);
-  }
-  // Publish every member in arrival order through the same terminal-state
-  // path the solo worker uses.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ServiceRequest& req = members[i].job->request;
-    InferenceReport rep;
-    if (!preps[i].error) {
-      try {
-        if (preps[i].memo) {
-          rep = *preps[i].memo;
-        } else {
-          rep = assemble_compiled_report(
-              *preps[i].prog, req.options.runtime,
-              std::move(bx.members[static_cast<std::size_t>(batch_index[i])]
-                            .result));
-          rep.dataset_tag = req.dataset->spec.tag;
-          // Memoize the fused result exactly as a solo run would have;
-          // if a racing solo run of the same key got there first, the
-          // stored report wins — bit-identical either way.
-          if (preps[i].rkey)
-            rep = result_cache_.get_or_run(*preps[i].rkey,
-                                           [&rep] { return rep; });
-        }
-      } catch (...) {
-        preps[i].error = std::current_exception();
-      }
-    }
-    publish_result(members[i].job->id, std::move(rep),
-                   std::move(preps[i].error), members[i].token);
-  }
 }
 
 void InferenceService::publish_result(RequestId id, InferenceReport&& report,
@@ -708,11 +558,6 @@ std::optional<RequestId> InferenceService::try_submit(ServiceRequest request) {
 AdmissionStats InferenceService::admission_stats() const {
   std::lock_guard<OrderedMutex> lk(slots_mu_);
   return admission_;
-}
-
-BatchStats InferenceService::batch_stats() const {
-  std::lock_guard<OrderedMutex> lk(slots_mu_);
-  return batch_;
 }
 
 RobustnessStats InferenceService::robustness_stats() const {

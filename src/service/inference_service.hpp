@@ -44,20 +44,6 @@
 // run by the determinism contract the golden/property tests enforce.
 // Off by default.
 //
-// Continuous batching (ServiceOptions::batch_window_us /
-// max_batch_size): workers dequeue through a BatchScheduler
-// (service/batch_scheduler.hpp) that groups queued requests by
-// (plan_signature, dataset_signature) under a collect-for-a-window-or-K
-// policy and executes each group as ONE fused multi-feature batch
-// (RuntimeSystem::execute_batch): the group's shared pooled adjacency
-// operands stream once per kernel for every member instead of once per
-// request. Fusion is invisible in results — each member's report is
-// bit-identical to solo execution, deterministic_fingerprint() included —
-// and invisible to the robustness surface: cancellation, deadlines and
-// injected faults fail exactly the affected member, never a batchmate.
-// Both knobs 0 (the default) keeps the pre-batching one-job-at-a-time
-// behavior. batch_stats() reports formation and fusion counters.
-//
 // Admission control (ServiceOptions::max_queue_depth + admission): a
 // bounded queue gives submit() backpressure under overload — block the
 // submitter, fail fast (AdmissionRejectedError through wait()), or shed
@@ -83,10 +69,10 @@
 //
 // Fault injection: ServiceOptions::fault_spec (or DYNASPARSE_FAULT_SPEC)
 // arms the process-global chaos injector (util/fault_injection.hpp).
-// Failures in the optional tiers — plan-store disk, result memoization
-// in-flight dedup — degrade (re-plan, retry, cold path) with a logged
-// counter instead of failing the request; only faults in the request's
-// own compile/execute fail that one request, typed, in isolation.
+// A failure in the optional result-memoization tier (in-flight dedup)
+// degrades (retry, cold path) instead of failing the request; only faults
+// in the request's own compile/execute fail that one request, typed, in
+// isolation.
 //
 // Shutdown contract: shutdown() (also run by the destructor) stops
 // accepting submits (a racing submit() throws ShutdownError and
@@ -114,7 +100,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "service/batch_scheduler.hpp"
 #include "service/compilation_cache.hpp"
 #include "service/result_cache.hpp"
 #include "util/blocking_queue.hpp"
@@ -216,26 +201,6 @@ struct AdmissionStats {
   std::int64_t shed = 0;      // queued requests failed by kShedOldest
 };
 
-/// Continuous-batching counters (slots_mu_-guarded snapshots). A "batch"
-/// here is one BatchScheduler release with at least one still-runnable
-/// member (stale/expired members are excluded, so occupancy measures work
-/// actually fused, not queue bookkeeping). All zero with batching off —
-/// every dequeue is then a singleton and is not counted as a batch.
-struct BatchStats {
-  std::int64_t batches_formed = 0;   // releases with >= 1 runnable member
-  std::int64_t batched_requests = 0; // runnable members across them
-  std::int64_t fused_batches = 0;    // releases with >= 2 runnable members
-  std::int64_t fused_requests = 0;   // members of those releases
-  std::int64_t fused_kernels = 0;    // kernels executed as ONE shared-operand
-                                     // sweep (RuntimeSystem::execute_batch)
-  double mean_occupancy() const {
-    return batches_formed > 0
-               ? static_cast<double>(batched_requests) /
-                     static_cast<double>(batches_formed)
-               : 0.0;
-  }
-};
-
 struct ServiceOptions {
   /// Worker threads for submitted requests. 0 = auto: hardware
   /// concurrency capped at 16 (beyond that, intra-op parallelism is the
@@ -248,7 +213,7 @@ struct ServiceOptions {
   /// CompilationCache capacity (programs). 0 disables caching.
   std::size_t cache_capacity = 16;
   /// ONE process-wide byte budget spanning every reuse tier — tile pool,
-  /// plan store, compilation cache, result cache (util/memory_budget.hpp).
+  /// compilation cache, result cache (util/memory_budget.hpp).
   /// 0 (default) keeps the pre-budget behavior: each tier enforces its
   /// own private byte ceiling and the budget only tracks totals and
   /// high-water stats. > 0: the private ceilings switch off, the
@@ -297,19 +262,6 @@ struct ServiceOptions {
   /// Approximate byte bound for resident memoized reports (they carry
   /// the full functional output matrix). 0 = bounded by count only.
   std::size_t result_cache_bytes = 256u << 20;
-  /// PlanStore capacity in plans (service/plan_store.hpp). 0 disables
-  /// cross-request plan reuse (the default): every compilation-cache miss
-  /// plans its partitions from scratch. When > 0, a miss first consults
-  /// the store for a plan-compatible snapshot (same model/plan shape,
-  /// vertex count, and planning config — plan_signature) and routes
-  /// through compile_with_plan, skipping the planner; reports stay
-  /// bit-identical to plan-from-scratch compilation by the determinism
-  /// contract.
-  std::size_t plan_store_capacity = 0;
-  /// Disk tier for the plan store (ignored while plan_store_capacity is
-  /// 0). Non-empty: plans persist as IR snapshots under this directory,
-  /// and a restarted service warm-starts its compiler from them.
-  std::string plan_store_dir;
   /// Default relative deadline for submitted requests, in milliseconds.
   /// 0 = none (the pre-deadline behavior). A request's own deadline_ms,
   /// when set, wins. DYNASPARSE_DEADLINE_MS supplies this for the
@@ -318,27 +270,11 @@ struct ServiceOptions {
   /// waiting.
   std::int64_t default_deadline_ms = 0;
   /// Fault-injection spec (util/fault_injection.hpp grammar, e.g.
-  /// "plan_store.disk_read:0.3,seed:7"). Non-empty: the constructor arms
+  /// "compile.alloc:0.3,seed:7"). Non-empty: the constructor arms
   /// the process-global injector with it (malformed specs throw
   /// std::invalid_argument). Empty (default): whatever
   /// DYNASPARSE_FAULT_SPEC armed — or nothing — stays in effect.
   std::string fault_spec;
-  /// Continuous cross-request batching collect window, in microseconds
-  /// (service/batch_scheduler.hpp). Workers hold a fusion-compatible
-  /// group of queued requests open this long (from its first member) and
-  /// execute the group as one fused multi-feature batch — shared pooled
-  /// adjacency operands stream once for the whole group, with per-member
-  /// reports bit-identical to solo execution. 0 (default) with
-  /// max_batch_size <= 1 disables batching entirely: workers pop one job
-  /// at a time exactly as before. Negative values are rejected.
-  /// DYNASPARSE_BATCH_WINDOW_US supplies this for the process default.
-  std::int64_t batch_window_us = 0;
-  /// Release a collecting group as soon as it reaches this many members
-  /// (the K cutoff). 0 with a positive window = unlimited (the window
-  /// alone decides); values > 1 enable batching even with window 0
-  /// (opportunistic fusion of already-queued bursts, no added latency).
-  /// DYNASPARSE_BATCH_MAX supplies this for the process default.
-  std::size_t max_batch_size = 0;
 };
 
 class InferenceService {
@@ -420,13 +356,6 @@ class InferenceService {
   CacheStats cache_stats() const { return cache_.stats(); }
   ResultCache& result_cache() { return result_cache_; }
   ResultCacheStats result_cache_stats() const { return result_cache_.stats(); }
-  /// The plan store seeding compilation-cache misses, or null when
-  /// ServiceOptions::plan_store_capacity is 0.
-  PlanStore* plan_store() { return plan_store_.get(); }
-  /// Zero-initialized stats while the store is disabled.
-  PlanStoreStats plan_store_stats() const {
-    return plan_store_ ? plan_store_->stats() : PlanStoreStats{};
-  }
   /// The process-wide byte arbiter all reuse tiers register with. Always
   /// present; track-only while ServiceOptions::memory_budget_bytes is 0.
   MemoryBudget& memory_budget() { return *budget_; }
@@ -437,8 +366,6 @@ class InferenceService {
   TilePoolStats tile_pool_stats() const { return tile_pool_->stats(); }
   AdmissionStats admission_stats() const;
   RobustnessStats robustness_stats() const;
-  /// Continuous-batching counters; all zero while batching is off.
-  BatchStats batch_stats() const;
   /// Resolved options: workers is the effective worker count (never 0).
   const ServiceOptions& options() const { return options_; }
 
@@ -449,9 +376,7 @@ class InferenceService {
   /// memoization is off by default; DYNASPARSE_RESULT_CACHE=N enables an
   /// N-report ResultCache and DYNASPARSE_RESULT_CACHE_MB bounds its
   /// approximate resident bytes (default 256 MiB when enabled; suffixes
-  /// "512m"/"2g" accepted, a bare number is MiB). Plan
-  /// reuse is off by default; DYNASPARSE_PLAN_STORE=N enables an N-plan
-  /// PlanStore and DYNASPARSE_PLAN_STORE_DIR adds its disk tier.
+  /// "512m"/"2g" accepted, a bare number is MiB).
   /// DYNASPARSE_MEM_BUDGET (bytes; "512m"/"2g" suffixes) sets the
   /// process-wide memory budget across all tiers, and
   /// DYNASPARSE_TILE_POOL=N sizes the shared operand pool (0 disables
@@ -485,33 +410,17 @@ class InferenceService {
     bool cancel_counted = false;
   };
 
-  /// One batch member after the dequeue-time slot recheck: the job plus
-  /// the token snapshot taken while marking its slot kRunning.
-  struct RunnableMember {
-    Job* job = nullptr;
-    CancellationToken token;
-  };
-
   InferenceReport execute_request(const ServiceRequest& request,
                                   const CancellationToken& token = {});
   void ensure_workers();
   void worker_main();
-  /// Process one BatchScheduler release: per-member stale/expired slot
-  /// recheck, then the solo path for a single runnable member (exactly
-  /// the pre-batching behavior) or the fused path for several.
-  void process_batch(std::vector<Job>& jobs);
-  /// Solo execution + publication of one runnable member (the
-  /// pre-batching worker body after the dequeue recheck).
-  void run_job(Job& job, const CancellationToken& token);
-  /// Fused execution of >= 2 runnable members: per-member compile /
-  /// result-cache peek, RuntimeSystem::execute_batch over the misses,
-  /// per-member report assembly and publication. Member failures
-  /// (cancel, deadline, chaos fault, compile error) are isolated.
-  void run_fused(std::vector<RunnableMember>& members);
-  /// Terminal-state publication shared by the solo and fused paths:
-  /// classify `raw` into the wait() error taxonomy (or discard a
-  /// completed-but-cancelled result), update the slot + robustness stats
-  /// under slots_mu_, wake waiters.
+  /// One dequeued job: skip it if its slot went stale (cancelled or shut
+  /// down while queued), fail it if its deadline expired in the queue,
+  /// otherwise execute it and publish the outcome.
+  void run_job(const Job& job);
+  /// Terminal-state publication: classify `raw` into the wait() error
+  /// taxonomy (or discard a completed-but-cancelled result), update the
+  /// slot + robustness stats under slots_mu_, wake waiters.
   void publish_result(RequestId id, InferenceReport&& report,
                       std::exception_ptr raw, const CancellationToken& token);
   /// Create a kQueued slot under slots_mu_ (throws ShutdownError
@@ -535,17 +444,14 @@ class InferenceService {
   const ServiceOptions options_;
   // Declaration order is load-bearing twice over: the budget must outlive
   // every tier handle (so it is first), and tiers register with it in
-  // member-init order — pool, plans, compile, result — which is the order
+  // member-init order — pool, compile, result — which is the order
   // rebalance() shrinks in REVERSE, so the program/report caches drop
   // their pool-operand references before the pool is asked to free them.
   std::shared_ptr<MemoryBudget> budget_;
   std::shared_ptr<TilePool> tile_pool_;
-  std::shared_ptr<PlanStore> plan_store_;  // null when disabled; outlives cache_
   CompilationCache cache_;
   ResultCache result_cache_;
   BlockingQueue<Job> queue_;
-  BatchScheduler<Job> batcher_;  // consumer side of queue_; workers pop
-                                 // batches through it, never queue_ directly
 
   mutable OrderedMutex slots_mu_{LockRank::kServiceSlots};
   OrderedCondVar slots_cv_;
@@ -553,7 +459,6 @@ class InferenceService {
   RequestId next_id_ = 1;
   AdmissionStats admission_; // guarded by slots_mu_
   RobustnessStats robust_;   // guarded by slots_mu_
-  BatchStats batch_;         // guarded by slots_mu_
   int waiters_ = 0;          // threads inside wait(); shutdown drains to 0
   int inflight_submits_ = 0; // submits past the accepting_ check but not
                              // yet resolved; shutdown drains to 0

@@ -26,7 +26,6 @@
 // AdmissionRejectedError and a closed-queue refusal to its shutdown
 // error; see ServiceStressTest.SubmitRacingShutdownAlwaysGetsATypedAnswer).
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -107,28 +106,6 @@ class BlockingQueue {
     lk.unlock();
     space_cv_.notify_one();
     return true;
-  }
-
-  enum class PopResult { kOk, kTimeout, kClosed };
-
-  /// Pop with a deadline: block until an item arrives (kOk), `deadline`
-  /// passes with nothing queued (kTimeout), or the queue is closed *and*
-  /// drained (kClosed). The batch scheduler's collect window waits here —
-  /// a timeout means "stop collecting, dispatch what you have", never a
-  /// dropped item.
-  template <typename Clock, typename Duration>
-  PopResult pop_until(T& out,
-                      const std::chrono::time_point<Clock, Duration>& deadline) {
-    std::unique_lock<OrderedMutex> lk(mu_);
-    if (!items_cv_.wait_until(lk, deadline,
-                              [&] { return closed_ || !items_.empty(); }))
-      return PopResult::kTimeout;
-    if (items_.empty()) return PopResult::kClosed;
-    out = std::move(items_.front());
-    items_.pop_front();
-    lk.unlock();
-    space_cv_.notify_one();
-    return PopResult::kOk;
   }
 
   /// Non-blocking pop; false when nothing is queued right now.

@@ -1,7 +1,6 @@
 #pragma once
-// Shared core of the service's caches (CompilationCache, ResultCache,
-// PlanStore): a thread-safe content-keyed cache of shared_ptr<const V>
-// with
+// Shared core of the service's caches (CompilationCache, ResultCache):
+// a thread-safe content-keyed cache of shared_ptr<const V> with
 //
 //   - in-flight dedup: the first requester of an absent key runs the
 //     factory; concurrent requesters for the same key block on a
@@ -94,7 +93,7 @@ class KeyedFutureCache {
   /// budget, not a private ceiling, bound this cache.
   /// `rank` places this cache's mutex in the global lock hierarchy
   /// (util/ordered_mutex.hpp): each wrapper passes its own rank
-  /// (kResultCache / kCompileCache / kPlanStore), all of which order
+  /// (kResultCache / kCompileCache), both of which order
   /// before kMemoryBudget — the cache -> budget contract above.
   explicit KeyedFutureCache(std::size_t max_entries, std::size_t max_bytes = 0,
                             Weigher weigh = {}, BudgetTier tier = nullptr,

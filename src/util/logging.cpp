@@ -1,7 +1,7 @@
 #include "util/logging.hpp"
 
 #include <atomic>
-#include <iostream>
+#include <cstdio>
 
 namespace dynasparse {
 
@@ -24,8 +24,13 @@ LogLevel log_level() { return g_level.load(); }
 
 void log_message(LogLevel level, const std::string& msg) {
   if (level < g_level.load()) return;
-  std::ostream& os = (level >= LogLevel::kWarn) ? std::cerr : std::clog;
-  os << tag(level) << msg << '\n';
+  // The whole line goes out in ONE stdio call: POSIX stdio locks the
+  // stream for the duration of each call, so concurrent loggers can
+  // never interleave inside each other's lines.
+  std::string line = tag(level);
+  line += msg;
+  line += '\n';
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace dynasparse

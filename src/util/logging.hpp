@@ -2,8 +2,9 @@
 // Minimal leveled logger.
 //
 // The library is quiet by default (kWarn); benches and examples raise the
-// level for progress reporting. Not thread-safe beyond what iostream gives
-// us; simulator worker threads log only through the aggregated report path.
+// level for progress reporting. Every level writes to stderr. Thread-safe:
+// each message is written as one whole line, so lines from concurrent
+// threads never interleave.
 
 #include <sstream>
 #include <string>

@@ -1,8 +1,8 @@
 #pragma once
 // MemoryBudget — one process-wide byte arbiter spanning every cache tier.
 //
-// Before this existed, each reuse tier (CompilationCache, ResultCache,
-// PlanStore) carried a private byte ceiling and the resident footprint of
+// Before this existed, each reuse tier (CompilationCache, ResultCache)
+// carried a private byte ceiling and the resident footprint of
 // the process was whatever the sum happened to be. The budget inverts
 // that: tiers register once with a name and a weight, charge/credit the
 // bytes they hold as entries become ready or are evicted, and the budget

@@ -19,12 +19,9 @@ const char* lock_rank_name(LockRank r) {
     case LockRank::kNetClientRecv: return "kNetClientRecv";
     case LockRank::kServiceWorkers: return "kServiceWorkers";
     case LockRank::kServiceSlots: return "kServiceSlots";
-    case LockRank::kBatchGroups: return "kBatchGroups";
     case LockRank::kWorkQueue: return "kWorkQueue";
     case LockRank::kResultCache: return "kResultCache";
     case LockRank::kCompileCache: return "kCompileCache";
-    case LockRank::kPlanStore: return "kPlanStore";
-    case LockRank::kPlanStoreSide: return "kPlanStoreSide";
     case LockRank::kTilePool: return "kTilePool";
     case LockRank::kPoolDeque: return "kPoolDeque";
     case LockRank::kPoolIdle: return "kPoolIdle";

@@ -31,8 +31,8 @@
 //
 //   kNetServerLifecycle < kNetClientSend < kNetClientRecv
 //     < kServiceWorkers < kServiceSlots
-//     < kBatchGroups < kWorkQueue
-//     < kResultCache / kCompileCache / kPlanStore < kPlanStoreSide
+//     < kWorkQueue
+//     < kResultCache / kCompileCache
 //     < kTilePool
 //     < kPoolDeque < kPoolIdle < kPoolJoin < kPoolError
 //     < kMemoryBudget
@@ -63,12 +63,9 @@ enum class LockRank : int {
   kNetClientRecv = 120,       // NetClient receive side
   kServiceWorkers = 200,      // InferenceService worker spawn/join
   kServiceSlots = 210,        // InferenceService slot table
-  kBatchGroups = 300,         // BatchScheduler group map
   kWorkQueue = 310,           // BlockingQueue internals
   kResultCache = 400,         // ResultCache KeyedFutureCache
   kCompileCache = 410,        // CompilationCache KeyedFutureCache
-  kPlanStore = 420,           // PlanStore KeyedFutureCache
-  kPlanStoreSide = 430,       // PlanStore side counters
   kTilePool = 440,            // TilePool entry map
   kPoolDeque = 500,           // work-stealing pool per-slot deques
   kPoolIdle = 510,            // pool idle/wake state

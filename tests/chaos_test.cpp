@@ -6,9 +6,6 @@
 //   - typed errors only: a non-completed request surfaces as exactly one
 //     of CancelledError / DeadlineExceededError / AdmissionRejectedError
 //     / ExecutionError — wait()'s closed throw-set survives chaos;
-//   - graceful degradation: optional tiers (the plan store's disk tier)
-//     absorb their faults and fall back to the cold path, counting
-//     disk_errors, instead of failing requests;
 //   - determinism under chaos: a request that completes returns a report
 //     bit-identical to a fault-free run (references computed under
 //     FaultPauseScope), and a chaos run reproduces from its seed.
@@ -20,7 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -75,55 +71,6 @@ std::uint64_t reference_fingerprint(const ServiceRequest& req) {
 struct DisarmGuard {
   ~DisarmGuard() { FaultInjector::global().disarm(); }
 };
-
-std::string fresh_dir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "chaos_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-TEST(ChaosTest, PlanStoreDiskFaultsDegradeWithoutFailingRequests) {
-  DisarmGuard guard;
-  // Every disk read AND write fails. The disk tier is optional by
-  // contract: requests must still complete (cold path), bit-identical,
-  // with disk_errors counting every absorbed fault.
-  // References first, while the injector is still unarmed (the service
-  // constructor arms it from fault_spec).
-  std::vector<std::pair<ServiceRequest, std::uint64_t>> work;
-  for (std::uint64_t seed : {201, 202, 203, 204})
-    for (GnnModelKind kind : {GnnModelKind::kGcn, GnnModelKind::kSage}) {
-      ServiceRequest req = chaos_request(seed, kind);
-      std::uint64_t fp = reference_fingerprint(req);
-      work.emplace_back(std::move(req), fp);
-    }
-
-  ServiceOptions opts;
-  opts.workers = 2;
-  opts.cache_capacity = 2;  // small: force evictions + recompiles
-  opts.plan_store_capacity = 8;
-  opts.plan_store_dir = fresh_dir("disk_faults");
-  opts.fault_spec = "plan_store.disk_read:1,plan_store.disk_write:1";
-  InferenceService service(opts);
-
-  std::map<RequestId, std::uint64_t> expect;
-  std::vector<RequestId> ids;
-  for (auto& [req, fp] : work) {
-    RequestId id = service.submit(req);
-    ids.push_back(id);
-    expect[id] = fp;
-  }
-  for (RequestId id : ids) {
-    InferenceReport rep;
-    ASSERT_NO_THROW(rep = service.wait(id)) << "disk faults must degrade";
-    EXPECT_EQ(rep.deterministic_fingerprint(), expect[id]);
-  }
-  PlanStoreStats pss = service.plan_store_stats();
-  EXPECT_GT(pss.disk_errors, 0);  // the degradation was exercised, not idle
-  EXPECT_EQ(pss.disk_hits, 0);    // nothing was ever trusted from disk
-  FaultSiteStats w =
-      FaultInjector::global().site_stats(kFaultPlanStoreDiskWrite);
-  EXPECT_GT(w.injected, 0);
-}
 
 TEST(ChaosTest, CompileAllocFaultIsTypedAndCountBounded) {
   DisarmGuard guard;
@@ -199,117 +146,10 @@ TEST(ChaosTest, KernelFaultsAreIsolatedPerRequest) {
   EXPECT_GT(completed, 0);
 }
 
-/// Fusion-compatible roster for the batching chaos scenarios: one
-/// dataset content (equal BatchKey) with a different weight draw per
-/// member, so the members fuse yet carry distinct CompileKeys.
-std::vector<std::pair<ServiceRequest, std::uint64_t>> fusion_roster(
-    std::size_t n, std::uint64_t dataset_seed) {
-  std::vector<std::pair<ServiceRequest, std::uint64_t>> work;
-  for (std::size_t i = 0; i < n; ++i) {
-    Dataset ds = chaos_dataset(dataset_seed);
-    Rng rng(5000 + 17 * i);
-    GnnModel model = build_model(GnnModelKind::kGcn, ds.spec.feature_dim,
-                                 ds.spec.hidden_dim, ds.spec.num_classes, rng);
-    model.name += "#" + std::to_string(i);
-    ServiceRequest req = ServiceRequest::own(std::move(model), std::move(ds));
-    std::uint64_t fp = reference_fingerprint(req);
-    work.emplace_back(std::move(req), fp);
-  }
-  return work;
-}
-
-TEST(ChaosTest, KernelFaultsInsideFusedBatchesStayMemberIsolated) {
-  DisarmGuard guard;
-  // runtime.kernel_fault + queue.delay against a *batching* service: the
-  // fault draw lands on one member of a fused batch (the per-member draw
-  // happens at each member's kernel boundary, exactly as solo), and must
-  // fail only that member — surviving batchmates complete bit-identical
-  // to their fault-free references, and every failure is typed
-  // ExecutionError. queue.delay stalls whole batches, exercising the
-  // collect path under injected latency.
-  std::vector<std::pair<ServiceRequest, std::uint64_t>> work =
-      fusion_roster(16, 321);
-
-  ServiceOptions opts;
-  opts.workers = 2;
-  opts.cache_capacity = 16;
-  opts.batch_window_us = 2'000'000;  // backstop; the K cutoff releases
-  opts.max_batch_size = 4;
-  opts.fault_spec = "runtime.kernel_fault:0.05,queue.delay:0.25,seed:17";
-  InferenceService service(opts);
-
-  std::map<RequestId, std::uint64_t> expect;
-  std::vector<RequestId> ids;
-  for (auto& [req, fp] : work) {
-    RequestId id = service.submit(req);
-    ids.push_back(id);
-    expect[id] = fp;
-  }
-  int completed = 0, failed = 0;
-  for (RequestId id : ids) {
-    try {
-      InferenceReport rep = service.wait(id);
-      EXPECT_EQ(rep.deterministic_fingerprint(), expect[id])
-          << "a surviving batchmate must stay bit-identical";
-      ++completed;
-    } catch (const ExecutionError& e) {
-      EXPECT_NE(std::string(e.what()).find("injected kernel fault"),
-                std::string::npos);
-      ++failed;
-    }
-  }
-  EXPECT_EQ(completed + failed, static_cast<int>(ids.size()));
-  EXPECT_EQ(service.robustness_stats().execution_failures, failed);
-  EXPECT_GT(failed, 0);
-  EXPECT_GT(completed, 0);
-  // Batching must actually have been in play for the isolation claim to
-  // mean anything.
-  EXPECT_GT(service.batch_stats().fused_requests, 0);
-  service.shutdown();
-}
-
-TEST(ChaosTest, BatchedChaosRunReproducesFromItsSeed) {
-  DisarmGuard guard;
-  // One worker + one deterministic batch membership (a single group
-  // released by its K cutoff) => the per-member fault draws happen in
-  // member order, so the same spec reproduces the same outcome vector.
-  auto run_once = [&] {
-    ServiceOptions opts;
-    opts.workers = 1;
-    opts.cache_capacity = 0;  // every member compiles: no cross-run state
-    opts.batch_window_us = 2'000'000;
-    opts.max_batch_size = 8;
-    opts.fault_spec = "runtime.kernel_fault:0.08,seed:29";
-    InferenceService service(opts);
-    std::vector<std::pair<ServiceRequest, std::uint64_t>> work =
-        fusion_roster(8, 322);
-    std::vector<RequestId> ids;
-    for (auto& [req, fp] : work) ids.push_back(service.submit(req));
-    std::vector<bool> ok;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      try {
-        InferenceReport rep = service.wait(ids[i]);
-        EXPECT_EQ(rep.deterministic_fingerprint(), work[i].second);
-        ok.push_back(true);
-      } catch (const ExecutionError&) {
-        ok.push_back(false);
-      }
-    }
-    EXPECT_EQ(service.batch_stats().fused_requests, 8);
-    service.shutdown();
-    return ok;
-  };
-  std::vector<bool> first = run_once();
-  std::vector<bool> second = run_once();
-  EXPECT_EQ(first, second);
-  EXPECT_NE(std::count(first.begin(), first.end(), true), 0);
-  EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
-}
-
 TEST(ChaosTest, EverySiteArmedMixedStreamKeepsTheContract) {
   DisarmGuard guard;
   // The full chaos mix: every known site armed at 0.3 over a mixed
-  // stream with memoization, plan store, bounded queue, and deadlines in
+  // stream with memoization, a bounded queue, and deadlines in
   // play. The service must neither hang nor crash; every id resolves as
   // a completed bit-identical report or one typed error.
   std::string spec;
@@ -333,8 +173,6 @@ TEST(ChaosTest, EverySiteArmedMixedStreamKeepsTheContract) {
   opts.workers = 4;
   opts.cache_capacity = 4;
   opts.result_cache_capacity = 8;
-  opts.plan_store_capacity = 8;
-  opts.plan_store_dir = fresh_dir("mixed");
   opts.max_queue_depth = 16;
   opts.admission = AdmissionPolicy::kReject;
   opts.fault_spec = spec;

@@ -201,21 +201,22 @@ TEST(ServiceStressTest, RandomizedSubmitWaitShutdownInterleavings) {
   }
 }
 
-// The same randomized submit/cancel/deadline/shutdown storm, but with
-// continuous batching ON (PR 9): batch formation — the collect window,
-// the K cutoff, and the per-key groups — races cancels, queue-time
-// expiries, and shutdown, under every admission policy. The PR-6
-// invariants must hold unchanged:
+// The same randomized submit/cancel/deadline/shutdown storm from five
+// submitters against two workers sharing two request contents, varying
+// queue depth and result memoization per round: cancels and queue-time
+// expiries race dequeue, execution and shutdown, under every admission
+// policy. The invariants:
 //
 //   - exact resolution: every obtained id resolves exactly once, and the
 //     robustness counters equal the aborts waiters observed;
-//   - member isolation: no batchmate observes another member's abort —
-//     in rounds without a shutdown race, a request the submitter never
-//     cancelled and that carried no deadline MUST complete (a foreign
-//     abort leaking across a fused batch would surface exactly here);
+//   - isolation: no request observes another request's abort — in rounds
+//     without a shutdown race, a request the submitter never cancelled
+//     and that carried no deadline MUST complete (a foreign abort leaking
+//     through a shared program or a joined memoized run would surface
+//     exactly here);
 //   - bit-identity: every completed report matches its sequential
-//     reference, fused or not.
-TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
+//     reference.
+TEST(ServiceStressTest, RandomizedSoakKeepsIsolationAndAccounting) {
   const ServiceRequest req_a = tiny_request(301, GnnModelKind::kGcn);
   const ServiceRequest req_b = tiny_request(302, GnnModelKind::kSgc);
   const std::uint64_t fp_a = reference_fingerprint(req_a);
@@ -234,10 +235,6 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
       opts.max_queue_depth = 2 + static_cast<std::size_t>(variant);
       opts.admission = policy;
       opts.result_cache_capacity = variant % 2 ? 8 : 0;
-      // Batching pressure varies by round: a pure K policy, a short
-      // window, and a window+K combination.
-      opts.batch_window_us = (variant == 0) ? 0 : 500;
-      opts.max_batch_size = (variant == 1) ? 0 : 3;
       InferenceService service(opts);
 
       std::atomic<long> attempts{0}, completed{0}, admission_failed{0},
@@ -254,7 +251,7 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
             const unsigned deadline_die = rng() % 8;
             bool had_deadline = false;
             if (deadline_die == 0) {
-              req.deadline_ms = 1;  // can expire while a batch collects
+              req.deadline_ms = 1;  // can expire while queued
               had_deadline = true;
             } else if (deadline_die == 1) {
               req.deadline_ms = 50;
@@ -278,8 +275,8 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
             }
             bool did_cancel = false;
             if (rng() % 4 == 0) {
-              // Cancel racing batch formation: the victim may be sitting
-              // in a half-collected group, running fused, or terminal.
+              // Cancel racing the workers: the victim may be queued,
+              // running, or terminal.
               try {
                 did_cancel = service.cancel(*id);
               } catch (const std::invalid_argument&) {
@@ -303,7 +300,7 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
       }
 
       if (round % 2 == 0) {
-        // Shut down mid-storm: close lands on half-collected groups.
+        // Shut down mid-storm: close lands on queued and running work.
         std::this_thread::sleep_for(std::chrono::milliseconds(1 + round % 5));
         service.shutdown();
       }
@@ -317,14 +314,14 @@ TEST(ServiceStressTest, RandomizedBatchingSoakKeepsIsolationAndAccounting) {
           << "): some attempt neither resolved nor was refused";
       EXPECT_EQ(wrong_fingerprint.load(), 0)
           << "round " << round
-          << ": a fused batch member returned a wrong report";
+          << ": a request returned a wrong report";
       if (round % 2 != 0) {
         // No shutdown race: an uncancelled, deadline-free request must
-        // never abort — a batchmate's cancel/expiry/fault is not allowed
-        // to leak into it.
+        // never abort — another request's cancel or expiry is not
+        // allowed to leak into it.
         EXPECT_EQ(foreign_abort.load(), 0)
             << "round " << round
-            << ": a batch member observed another member's abort";
+            << ": a request observed another request's abort";
       }
       AdmissionStats as = service.admission_stats();
       EXPECT_EQ(as.accepted, completed.load() + aborted.load() +

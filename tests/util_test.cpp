@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -190,6 +191,48 @@ TEST(LoggingTest, LevelGate) {
   EXPECT_EQ(log_level(), LogLevel::kError);
   log_info("should be dropped silently");
   set_log_level(before);
+}
+
+TEST(LoggingTest, ConcurrentLinesNeverInterleave) {
+  // 8 threads x 200 messages into captured stderr: every captured line
+  // must be exactly one whole message, and every message must appear
+  // exactly once.
+  constexpr int kThreads = 8, kMessages = 200;
+  const std::string padding(120, 'x');
+  auto message = [&](int t, int i) {
+    return "t" + std::to_string(t) + "-m" + std::to_string(i) + "-" + padding;
+  };
+  LogLevel before = log_level();
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Start together so the writers actually contend.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kMessages; ++i) log_warn(message(t, i));
+    });
+  for (std::thread& th : threads) th.join();
+  const std::string captured = testing::internal::GetCapturedStderr();
+  set_log_level(before);
+
+  std::set<std::string> expected;
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kMessages; ++i) expected.insert("[warn ] " + message(t, i));
+  std::set<std::string> seen;
+  std::size_t lines = 0, start = 0;
+  for (std::size_t nl = captured.find('\n'); nl != std::string::npos;
+       start = nl + 1, nl = captured.find('\n', start)) {
+    const std::string line = captured.substr(start, nl - start);
+    ++lines;
+    EXPECT_EQ(expected.count(line), 1u) << "torn or foreign line: " << line;
+    seen.insert(line);
+  }
+  EXPECT_EQ(start, captured.size()) << "output ends mid-line";
+  EXPECT_EQ(lines, expected.size());
+  EXPECT_EQ(seen, expected);
 }
 
 // ---- parallel primitives (work-stealing pool) -----------------------------
@@ -529,10 +572,10 @@ TEST(FaultSpecTest, ParseGrammarAndRejections) {
   EXPECT_TRUE(parse_fault_spec("").empty());
 
   FaultSpec spec = parse_fault_spec(
-      "plan_store.disk_read:0.3,compile.alloc:0.1:5,seed:42");
+      "queue.delay:0.3,compile.alloc:0.1:5,seed:42");
   EXPECT_EQ(spec.seed, 42u);
   ASSERT_EQ(spec.sites.size(), 2u);
-  EXPECT_EQ(spec.sites[0].site, "plan_store.disk_read");
+  EXPECT_EQ(spec.sites[0].site, "queue.delay");
   EXPECT_DOUBLE_EQ(spec.sites[0].probability, 0.3);
   EXPECT_EQ(spec.sites[0].count, -1);
   EXPECT_EQ(spec.sites[1].site, "compile.alloc");

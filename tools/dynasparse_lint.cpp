@@ -10,7 +10,7 @@
 //   [error-taxonomy]     No `std::runtime_error(...)` constructed in
 //                        src/service or src/net: those layers speak the
 //                        closed error taxonomy (ShutdownError,
-//                        NetSetupError, PlanSnapshotError, ...) so the
+//                        NetSetupError, StreamParseError, ...) so the
 //                        wire layer can map every failure deliberately.
 //                        Deriving from std::runtime_error is fine — only
 //                        constructing the base type is flagged.
@@ -18,7 +18,11 @@
 //                        kFault* constant from the declared-site registry
 //                        in src/util/fault_injection.hpp (or a literal
 //                        registered there), so DYNASPARSE_FAULT_SPEC can
-//                        never name a dead site.
+//                        never name a dead site. Conversely, every site
+//                        registered there must be reached by at least one
+//                        fault_point(...) call in the tree (by constant or
+//                        literal), so a chaos spec can never arm a site
+//                        whose code is gone.
 //   [signature-tripwire] Every repo struct hashed by const-reference in
 //                        src/compiler/signature.cpp must have a
 //                        static_assert(sizeof(T) == N) tripwire in that
@@ -271,25 +275,46 @@ void check_error_taxonomy(const FileView& f, std::vector<Finding>& out) {
 
 // ---- rule: fault-site ------------------------------------------------------
 
-std::set<std::string> load_fault_registry(const fs::path& root, bool* found) {
-  std::set<std::string> sites;
-  const fs::path reg = root / "src" / "util" / "fault_injection.hpp";
-  *found = fs::exists(reg);
-  if (!*found) return sites;
-  for (const std::string& line : strip(read_file(reg), false)) {
+const char* const kFaultRegistry = "src/util/fault_injection.hpp";
+
+/// The declared fault sites, plus which of them some fault_point(...)
+/// call reaches — by constant name or by literal site string.
+struct FaultRegistry {
+  struct Site {
+    std::string constant;  // kFaultX
+    std::string name;      // "a.b"
+    long line = 0;         // declaration line in kFaultRegistry
+  };
+  std::vector<Site> sites;
+  std::set<std::string> names;
+  std::set<std::string> used;  // constants and literals seen in fault_point()
+};
+
+bool load_fault_registry(const fs::path& root, FaultRegistry& reg) {
+  const fs::path path = root / kFaultRegistry;
+  if (!fs::exists(path)) return false;
+  const std::vector<std::string> lines = strip(read_file(path), false);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
     // inline constexpr const char* kFaultX = "a.b";
+    const std::string& line = lines[i];
     const std::size_t k = line.find("kFault");
     if (k == std::string::npos) continue;
     const std::size_t q1 = line.find('"', k);
     if (q1 == std::string::npos) continue;
     const std::size_t q2 = line.find('"', q1 + 1);
     if (q2 == std::string::npos) continue;
-    sites.insert(line.substr(q1 + 1, q2 - q1 - 1));
+    std::size_t e = k;
+    while (e < line.size() && ident_char(line[e])) ++e;
+    FaultRegistry::Site site{line.substr(k, e - k),
+                             line.substr(q1 + 1, q2 - q1 - 1),
+                             static_cast<long>(i + 1)};
+    reg.names.insert(site.name);
+    reg.sites.push_back(std::move(site));
   }
-  return sites;
+  return true;
 }
 
-void check_fault_sites(const FileView& f, const std::set<std::string>& registry,
+void check_fault_sites(const FileView& f, FaultRegistry& registry,
                        std::vector<Finding>& out) {
   // The registry header itself defines fault_point() and the constants.
   if (f.rel.find("util/fault_injection.") != std::string::npos) return;
@@ -309,7 +334,8 @@ void check_fault_sites(const FileView& f, const std::set<std::string>& registry,
         const std::size_t q2 = line.find('"', j + 1);
         const std::string site =
             q2 == std::string::npos ? "" : line.substr(j + 1, q2 - j - 1);
-        if (registry.count(site)) continue;
+        registry.used.insert(site);
+        if (registry.names.count(site)) continue;
         out.push_back({f.rel, static_cast<long>(i + 1), "fault-site",
                        "fault_point(\"" + site +
                            "\") names a site missing from the registry in "
@@ -318,6 +344,7 @@ void check_fault_sites(const FileView& f, const std::set<std::string>& registry,
         std::size_t e = j;
         while (e < line.size() && ident_char(line[e])) ++e;
         const std::string arg = line.substr(j, e - j);
+        registry.used.insert(arg);
         if (starts_with(arg, "kFault")) continue;
         out.push_back({f.rel, static_cast<long>(i + 1), "fault-site",
                        "fault_point argument '" + arg +
@@ -325,6 +352,18 @@ void check_fault_sites(const FileView& f, const std::set<std::string>& registry,
                            "src/util/fault_injection.hpp"});
       }
     }
+  }
+}
+
+/// The reverse direction: a registered site no fault_point() reaches.
+void check_unused_fault_sites(const FaultRegistry& registry,
+                              std::vector<Finding>& out) {
+  for (const FaultRegistry::Site& s : registry.sites) {
+    if (registry.used.count(s.constant) || registry.used.count(s.name)) continue;
+    out.push_back({kFaultRegistry, s.line, "fault-site",
+                   "registered site '" + s.name + "' (" + s.constant +
+                       ") has no fault_point(...) call in the tree; wire it "
+                       "up or delete it"});
   }
 }
 
@@ -416,8 +455,8 @@ bool scannable(const fs::path& p) {
 
 std::vector<Finding> lint_tree(const fs::path& root) {
   std::vector<Finding> findings;
-  bool registry_found = false;
-  const std::set<std::string> registry = load_fault_registry(root, &registry_found);
+  FaultRegistry registry;
+  const bool registry_found = load_fault_registry(root, registry);
 
   static const char* const kRoots[] = {"src", "tools", "bench", "tests",
                                        "examples"};
@@ -464,6 +503,7 @@ std::vector<Finding> lint_tree(const fs::path& root) {
     if (registry_found) check_fault_sites(f, registry, findings);
   }
 
+  if (registry_found) check_unused_fault_sites(registry, findings);
   check_signature_tripwires(root, findings);
   std::sort(findings.begin(), findings.end());
   return findings;

@@ -35,7 +35,7 @@
 //   --memoize-mb M    approximate byte bound for memoized reports
 //                     (default 256 MiB; only meaningful with --memoize)
 //   --mem-budget SIZE process-wide memory budget across every cache tier
-//                     (plans + compiled programs + tile pool + reports).
+//                     (compiled programs + tile pool + reports).
 //                     Accepts "512m" / "2g" style suffixes; bare numbers
 //                     are bytes. Default 0 = per-tier ceilings only.
 //   --tile-pool N     shared operand tile-pool capacity in entries
@@ -44,28 +44,14 @@
 //                     (default 0 = unbounded)
 //   --admission P     full-queue policy: block | reject | shed
 //                     (default block; only meaningful with --max-queue)
-//   --plan-store N    PlanStore capacity in plans (default 0 = off):
-//                     compilation-cache misses seed their partition plan
-//                     from plan-compatible earlier requests instead of
-//                     re-planning — bit-identical reports, cheaper compiles
-//   --plan-store-dir D  disk tier for the plan store: plans persist as IR
-//                     snapshots under D and a restarted serve process
-//                     warm-starts from them (implies --plan-store 32 when
-//                     --plan-store is not given)
 //   --deadline-ms D   default per-request deadline (a duration: "250",
 //                     "250ms", "1.5s"; default 0 = none). A stream line's
 //                     own deadline_ms= wins over this.
-//   --batch-window U  continuous-batching collect window in MICROSECONDS
-//                     (default 0): fusion-compatible queued requests
-//                     gather this long and execute as one fused batch
-//   --batch-max K     release a collecting batch at K members (default 0:
-//                     with a window, unlimited; K > 1 alone enables
-//                     opportunistic batching of already-queued bursts)
 //   --cancel-after D  cancel every still-outstanding request D after the
 //                     submit burst (a duration; default off) — exercises
 //                     the cooperative-cancellation path end to end
 //   --fault SPEC      arm the fault injector (util/fault_injection.hpp
-//                     grammar, e.g. "plan_store.disk_read:0.3,seed:7")
+//                     grammar, e.g. "queue.delay:0.3,seed:7")
 //   --warm            pre-compile every unique request before timing
 //   --seed S          seed for the synthetic workload     (default 2023)
 //   --baseline        also run the sequential uncached run_inference-style
@@ -124,17 +110,13 @@ double percentile(const std::vector<double>& sorted_ms, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stream_path, json_path, plan_store_dir, fault_spec;
+  std::string stream_path, json_path, fault_spec;
   int requests = 16, workers = 0, intra_op = 0;
   std::size_t cache_capacity = 16, memoize = 0, memoize_mb = 256, max_queue = 0;
-  std::size_t plan_store = 0;
   std::size_t mem_budget = 0, tile_pool = 64;
-  bool plan_store_given = false;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   std::uint64_t seed = 2023;
   std::int64_t deadline_ms = 0, cancel_after_ms = -1;  // -1 = no cancellation
-  int batch_window_us = 0;
-  std::size_t batch_max = 0;
   bool warm = false, baseline = false;
   int listen_port = -1;  // -1 = replay mode; 0 = ephemeral
   std::string listen_host = "127.0.0.1";
@@ -168,13 +150,9 @@ int main(int argc, char** argv) {
       else if (key == "--mem-budget") mem_budget = parse_size_bytes(need_value());
       else if (key == "--tile-pool") tile_pool = size_value(need_value());
       else if (key == "--max-queue") max_queue = size_value(need_value());
-      else if (key == "--plan-store") { plan_store = size_value(need_value()); plan_store_given = true; }
-      else if (key == "--plan-store-dir") plan_store_dir = need_value();
       else if (key == "--admission") admission = parse_admission_policy(need_value());
       else if (key == "--deadline-ms") deadline_ms = parse_duration_ms(need_value());
       else if (key == "--cancel-after") cancel_after_ms = parse_duration_ms(need_value());
-      else if (key == "--batch-window") batch_window_us = strict_stoi(need_value());
-      else if (key == "--batch-max") batch_max = size_value(need_value());
       else if (key == "--fault") fault_spec = need_value();
       else if (key == "--seed") seed = strict_stoull(need_value());
       else if (key == "--json") json_path = need_value();
@@ -193,7 +171,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     usage("bad value for " + current_key + ": " + e.what());
   }
-  if (!plan_store_dir.empty() && !plan_store_given) plan_store = 32;
   if (memoize_mb > (std::numeric_limits<std::size_t>::max() >> 20))
     usage("--memoize-mb too large");  // << 20 below would overflow
   if (!fault_spec.empty()) {
@@ -235,14 +212,10 @@ int main(int argc, char** argv) {
   opts.result_cache_bytes = memoize_mb << 20;
   opts.max_queue_depth = max_queue;
   opts.admission = admission;
-  opts.plan_store_capacity = plan_store;
-  opts.plan_store_dir = plan_store_dir;
   opts.memory_budget_bytes = mem_budget;
   opts.tile_pool_capacity = tile_pool;
   opts.default_deadline_ms = deadline_ms;
   opts.fault_spec = fault_spec;
-  opts.batch_window_us = batch_window_us;
-  opts.max_batch_size = batch_max;
   // Options are validated/resolved by the service; report the effective
   // worker count (no hidden cap).
   InferenceService service(opts);
@@ -253,10 +226,6 @@ int main(int argc, char** argv) {
   if (max_queue > 0)
     std::printf("admission: queue depth %zu, policy %s\n", max_queue,
                 admission_policy_name(admission));
-  if (plan_store > 0)
-    std::printf("plan store: up to %zu plans%s%s\n", plan_store,
-                plan_store_dir.empty() ? "" : ", disk tier ",
-                plan_store_dir.c_str());
   if (mem_budget > 0)
     std::printf("memory budget: %.1f MiB shared across cache tiers\n",
                 static_cast<double>(mem_budget) / (1024.0 * 1024.0));
@@ -265,9 +234,6 @@ int main(int argc, char** argv) {
   if (deadline_ms > 0)
     std::printf("deadline: %lld ms per request (default)\n",
                 static_cast<long long>(deadline_ms));
-  if (batch_window_us > 0 || batch_max > 1)
-    std::printf("batching: window %d us, max %zu per batch (0 = unlimited)\n",
-                batch_window_us, batch_max);
   if (cancel_after_ms >= 0)
     std::printf("cancellation: cancelling outstanding requests %lld ms after submit\n",
                 static_cast<long long>(cancel_after_ms));
@@ -302,7 +268,6 @@ int main(int argc, char** argv) {
     CacheStats cs = service.cache_stats();
     RobustnessStats rs = service.robustness_stats();
     AdmissionStats as = service.admission_stats();
-    BatchStats bs = service.batch_stats();
     MemoryBudgetStats ms = service.memory_budget_stats();
     TilePoolStats ps = service.tile_pool_stats();
     std::printf(
@@ -326,14 +291,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(rs.expired_in_queue),
         static_cast<long long>(rs.expired_running),
         static_cast<long long>(rs.execution_failures));
-    if (batch_window_us > 0 || batch_max > 1)
-      std::printf(
-          "batching: %lld batches / %lld requests (%.2f mean occupancy), "
-          "%lld fused requests, %lld fused kernels\n",
-          static_cast<long long>(bs.batches_formed),
-          static_cast<long long>(bs.batched_requests), bs.mean_occupancy(),
-          static_cast<long long>(bs.fused_requests),
-          static_cast<long long>(bs.fused_kernels));
     std::printf(
         "memory: %lld bytes resident (high water %lld, limit %zu); tile pool "
         "%lld entries / %lld bytes, %lld shared refs\n",
@@ -364,11 +321,6 @@ int main(int argc, char** argv) {
         << "  \"expired_in_queue\": " << rs.expired_in_queue << ",\n"
         << "  \"expired_running\": " << rs.expired_running << ",\n"
         << "  \"execution_failures\": " << rs.execution_failures << ",\n"
-        << "  \"batches_formed\": " << bs.batches_formed << ",\n"
-        << "  \"batched_requests\": " << bs.batched_requests << ",\n"
-        << "  \"fused_requests\": " << bs.fused_requests << ",\n"
-        << "  \"fused_kernels\": " << bs.fused_kernels << ",\n"
-        << "  \"batch_mean_occupancy\": " << bs.mean_occupancy() << ",\n"
         << "  \"budget_limit\": " << ms.limit_bytes << ",\n"
         << "  \"budget_bytes\": " << ms.bytes << ",\n"
         << "  \"budget_high_water\": " << ms.high_water << ",\n"
@@ -473,26 +425,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(rcs.hits), static_cast<long long>(rcs.misses),
         static_cast<long long>(rcs.evictions), static_cast<long long>(rcs.entries),
         static_cast<double>(rcs.bytes) / (1024.0 * 1024.0));
-  PlanStoreStats pss = service.plan_store_stats();
-  if (plan_store > 0)
-    std::printf(
-        "plan store: %lld planned / %lld seeded (%lld exact) / %lld disk hits, "
-        "%lld disk writes, %lld rejected, %lld disk errors, planning %.3f ms\n",
-        static_cast<long long>(pss.planned), static_cast<long long>(pss.seeded),
-        static_cast<long long>(pss.seeded_exact),
-        static_cast<long long>(pss.disk_hits),
-        static_cast<long long>(pss.disk_writes),
-        static_cast<long long>(pss.rejected),
-        static_cast<long long>(pss.disk_errors), pss.planning_ms);
-  BatchStats bs = service.batch_stats();
-  if (batch_window_us > 0 || batch_max > 1)
-    std::printf(
-        "batching: %lld batches / %lld requests (%.2f mean occupancy), %lld "
-        "fused requests, %lld fused kernels\n",
-        static_cast<long long>(bs.batches_formed),
-        static_cast<long long>(bs.batched_requests), bs.mean_occupancy(),
-        static_cast<long long>(bs.fused_requests),
-        static_cast<long long>(bs.fused_kernels));
   MemoryBudgetStats ms = service.memory_budget_stats();
   TilePoolStats ps = service.tile_pool_stats();
   std::printf(
@@ -550,29 +482,12 @@ int main(int argc, char** argv) {
       << "  \"result_cache_misses\": " << rcs.misses << ",\n"
       << "  \"result_cache_evictions\": " << rcs.evictions << ",\n"
       << "  \"result_cache_bytes\": " << rcs.bytes << ",\n"
-      << "  \"plan_store_capacity\": " << plan_store << ",\n"
-      << "  \"plan_planned\": " << pss.planned << ",\n"
-      << "  \"plan_seeded\": " << pss.seeded << ",\n"
-      << "  \"plan_seeded_exact\": " << pss.seeded_exact << ",\n"
-      << "  \"plan_disk_hits\": " << pss.disk_hits << ",\n"
-      << "  \"plan_disk_writes\": " << pss.disk_writes << ",\n"
-      << "  \"plan_rejected\": " << pss.rejected << ",\n"
-      << "  \"plan_disk_errors\": " << pss.disk_errors << ",\n"
-      << "  \"plan_planning_ms\": " << pss.planning_ms << ",\n"
       << "  \"budget_limit\": " << ms.limit_bytes << ",\n"
       << "  \"budget_bytes\": " << ms.bytes << ",\n"
       << "  \"budget_high_water\": " << ms.high_water << ",\n"
       << "  \"pool_entries\": " << ps.entries << ",\n"
       << "  \"pool_bytes\": " << ps.bytes << ",\n"
       << "  \"pool_shared_refs\": " << ps.shared_refs << ",\n"
-      << "  \"batch_window_us\": " << batch_window_us << ",\n"
-      << "  \"batch_max\": " << batch_max << ",\n"
-      << "  \"batches_formed\": " << bs.batches_formed << ",\n"
-      << "  \"batched_requests\": " << bs.batched_requests << ",\n"
-      << "  \"fused_batches\": " << bs.fused_batches << ",\n"
-      << "  \"fused_requests\": " << bs.fused_requests << ",\n"
-      << "  \"fused_kernels\": " << bs.fused_kernels << ",\n"
-      << "  \"batch_mean_occupancy\": " << bs.mean_occupancy() << ",\n"
       << "  \"sequential_wall_ms\": " << sequential_wall_ms << "\n"
       << "}\n";
     std::printf("wrote %s\n", json_path.c_str());
